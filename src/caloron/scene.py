@@ -35,12 +35,20 @@ def load_config(path: str) -> dict:
         return parse_config_text(fh.read())
 
 
+def _number(kind, raw: str):
+    """kind(raw) for kind int or float, a malformed value being a ConfigError."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"expected {kind.__name__} value, got {raw!r}") from None
+
+
 def _int_list(raw: str) -> tuple:
-    return tuple(int(x) for x in raw.split(",") if x.strip())
+    return tuple(_number(int, x) for x in raw.split(",") if x.strip())
 
 
 def _float_list(raw: str) -> tuple:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+    return tuple(_number(float, x) for x in raw.split(",") if x.strip())
 
 
 class SceneConfig:
@@ -63,9 +71,9 @@ class SceneConfig:
         if self.group not in (U1, SU2):
             raise ConfigError(f"unknown group {self.group!r}")
         self.family = raw.get("family", "zero")
-        self.max_mode = int(raw.get("family.max_mode", 2))
-        self.seed = int(raw.get("seed", 0))
-        self.twist = int(raw.get("twist", 0))
+        self.max_mode = _number(int, raw.get("family.max_mode", 2))
+        self.seed = _number(int, raw.get("seed", 0))
+        self.twist = _number(int, raw.get("twist", 0))
         self.poly_kind = raw.get("poly.kind", "chern_normalized")
         self.classes = _int_list(raw.get("classes", "0"))
         d = len(self.grid.fiber_axes)
@@ -73,8 +81,8 @@ class SceneConfig:
             if (r + d) % 2 != 0:
                 raise ConfigError(f"class degree r={r} and fiber dimension d={d} "
                                   "must have the same parity")
-        self.tol_pairing = float(raw.get("tol.pairing", 1e-8))
-        self.expect_pairing = (float(raw["expect.pairing"])
+        self.tol_pairing = _number(float, raw.get("tol.pairing", 1e-8))
+        self.expect_pairing = (_number(float, raw["expect.pairing"])
                                if "expect.pairing" in raw else None)
 
     def build_connection(self, grid: Grid | None = None) -> ProductConnection:

@@ -132,6 +132,8 @@ def save_document(doc: dict, path: str) -> None:
 
 
 def document_kind(doc: dict) -> str:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind in ("product_connection", "transform_pair"):
         return kind

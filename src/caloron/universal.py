@@ -2,9 +2,12 @@
 
 A connection is an algebra-valued field on the oriented edges of a finite
 connected graph; based gauge algebra elements are vertex fields vanishing at
-the basepoint.  The covariant derivative uses the midpoint-averaged bracket,
-its adjoint is the exact matrix transpose with the basepoint row removed, and
-the Green's operator is a cached dense Cholesky solve of the based Laplacian.
+the basepoint.  The covariant derivative uses the midpoint-averaged bracket and
+its adjoint is the exact matrix transpose with the basepoint row removed.  The
+Green's operator assembles the based Laplacian d_w* d_w directly from per-edge
+blocks, factors it once with a dense Cholesky and solves each right-hand side
+by blocked forward and back substitution on the cached factor.  Dense storage
+is n^2 in the number of unknowns, hence the cap of MAX_VERTICES vertices.
 
 Algebra values are stored in real coordinates: 1 per point for u(1)
 (coefficient of i) and 3 for su(2) (coefficients of i*sigma_j); the invariant
@@ -12,7 +15,8 @@ inner product is the Euclidean dot product on these coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +24,9 @@ from .errors import ConfigError, DomainError, ShapeError, SingularOperatorError
 from .lattice import SU2, U1
 
 MAX_VERTICES = 512
+
+# rows per diagonal block of the blocked triangular solve
+_TRI_BLOCK = 32
 
 ALG_DIM = {U1: 1, SU2: 3}
 
@@ -41,10 +48,7 @@ class GraphX:
     plaquettes: tuple = ()  # ((e_right, e_top, e_left, e_bottom) ids per face, unused on rings)
 
     def __post_init__(self):
-        if self.n_vertices < 3:
-            raise ConfigError(f"graph needs >= 3 vertices, got {self.n_vertices}")
-        if self.n_vertices > MAX_VERTICES:
-            raise ConfigError(f"graph exceeds the dense-solve cap of {MAX_VERTICES} vertices")
+        _check_vertex_count(self.n_vertices)
         if not 0 <= self.basepoint < self.n_vertices:
             raise ConfigError("basepoint outside vertex range")
         adj = [[] for _ in range(self.n_vertices)]
@@ -66,14 +70,24 @@ class GraphX:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def tails(self) -> np.ndarray:
+        return np.array([t for t, _ in self.edges], dtype=np.intp)
+
+    @cached_property
+    def heads(self) -> np.ndarray:
+        return np.array([h for _, h in self.edges], dtype=np.intp)
+
     @classmethod
     def ring(cls, n: int, basepoint: int = 0) -> "GraphX":
+        _check_vertex_count(n)
         edges = tuple((i, (i + 1) % n) for i in range(n))
         return cls(n, edges, basepoint)
 
     @classmethod
     def torus(cls, nx: int, ny: int, basepoint: int = 0) -> "GraphX":
         """Grid graph on a torus; x-edges first, then y-edges."""
+        _check_vertex_count(nx * ny)
         def vid(i, j):
             return (i % nx) * ny + (j % ny)
         edges = []
@@ -92,14 +106,24 @@ class GraphX:
         return cls(nx * ny, tuple(edges), basepoint, tuple(plaq))
 
 
+def _check_vertex_count(n: int) -> None:
+    """Reject a size before any edge list is built for it."""
+    if n < 3:
+        raise ConfigError(f"graph needs >= 3 vertices, got {n}")
+    if n > MAX_VERTICES:
+        raise ConfigError(f"graph exceeds the dense-solve cap of {MAX_VERTICES} vertices")
+
+
 def parse_graph(spec: str) -> GraphX:
     """Parse 'ring:n' or 'torus:nx:ny'."""
-    parts = spec.split(":")
-    if parts[0] == "ring" and len(parts) == 2:
-        return GraphX.ring(int(parts[1]))
-    if parts[0] == "torus" and len(parts) == 3:
-        return GraphX.torus(int(parts[1]), int(parts[2]))
-    raise ConfigError(f"unknown graph spec {spec!r}")
+    kind, *sizes = spec.split(":")
+    if (kind, len(sizes)) not in (("ring", 1), ("torus", 2)):
+        raise ConfigError(f"unknown graph spec {spec!r}")
+    try:
+        sizes = [int(x) for x in sizes]
+    except ValueError:
+        raise ConfigError(f"graph spec {spec!r}: sizes must be integers") from None
+    return GraphX.ring(*sizes) if kind == "ring" else GraphX.torus(*sizes)
 
 
 def _check_vertex(graph: GraphX, group: str, mu: np.ndarray) -> np.ndarray:
@@ -128,26 +152,51 @@ def cov_deriv(graph: GraphX, group: str, omega: np.ndarray, mu: np.ndarray) -> n
     """(d_w mu)(e) = mu(head) - mu(tail) + [w(e), (mu(head)+mu(tail))/2]."""
     omega = _check_edge(graph, group, omega)
     mu = _check_vertex(graph, group, mu)
-    tails = np.array([t for t, _ in graph.edges])
-    heads = np.array([h for _, h in graph.edges])
-    grad = mu[heads] - mu[tails]
-    avg = 0.5 * (mu[heads] + mu[tails])
-    return grad + alg_bracket(group, omega, avg)
+    mu_h, mu_t = mu[graph.heads], mu[graph.tails]
+    return mu_h - mu_t + alg_bracket(group, omega, 0.5 * (mu_h + mu_t))
 
 
-def _cov_matrix(graph: GraphX, group: str, omega: np.ndarray) -> np.ndarray:
-    """Dense matrix of cov_deriv on based coordinates (basepoint column removed)."""
+def _based_laplacian(graph: GraphX, group: str, omega: np.ndarray) -> np.ndarray:
+    """Dense d_w* d_w on based coordinates, summed from per-edge blocks.
+
+    (d_w mu)(e) = Ah mu(head) + At mu(tail) with Ah = I + B_e/2, At = -I + B_e/2
+    and B_e the matrix of x -> [w(e), x], so edge e adds Ah^T Ah at (head, head),
+    At^T At at (tail, tail), Ah^T At at (head, tail) and At^T Ah at (tail, head).
+    Blocks touching the basepoint are dropped.
+    """
+    omega = _check_edge(graph, group, omega)
     g = ALG_DIM[group]
-    nv, ne = graph.n_vertices, graph.n_edges
-    keep = [v for v in range(nv) if v != graph.basepoint]
-    D = np.zeros((ne * g, (nv - 1) * g))
-    basis = np.zeros((nv, g))
-    for col, v in enumerate(keep):
-        for c in range(g):
-            basis[v, c] = 1.0
-            D[:, col * g + c] = cov_deriv(graph, group, omega, basis).ravel()
-            basis[v, c] = 0.0
-    return D
+    nv, bp = graph.n_vertices, graph.basepoint
+    eye = np.eye(g)
+    # column j of B_e is [w(e), e_j]
+    B = alg_bracket(group, omega[:, None, :], eye).transpose(0, 2, 1)
+    based = np.arange(nv) - (np.arange(nv) > bp)
+    based[bp] = -1
+    ends = ((based[graph.heads], eye + 0.5 * B), (based[graph.tails], -eye + 0.5 * B))
+    L = np.zeros((nv - 1, g, nv - 1, g))
+    for rows, A_row in ends:
+        for cols, A_col in ends:
+            ok = (rows >= 0) & (cols >= 0)
+            np.add.at(L, (rows[ok], slice(None), cols[ok], slice(None)),
+                      A_row[ok].transpose(0, 2, 1) @ A_col[ok])
+    return L.reshape((nv - 1) * g, (nv - 1) * g)
+
+
+def _solve_triangular(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """x with T x = b for triangular T by blocked substitution: each diagonal
+    block goes through np.linalg.solve, each off-diagonal block is one
+    matrix-vector product, so a solve costs O(n^2) after the factorization."""
+    n = len(b)
+    x = np.array(b, dtype=float)
+    starts = range(0, n, _TRI_BLOCK)
+    for s in starts if lower else reversed(starts):
+        e = min(s + _TRI_BLOCK, n)
+        if lower:
+            x[s:e] -= T[s:e, :s] @ x[:s]
+        else:
+            x[s:e] -= T[s:e, e:] @ x[e:]
+        x[s:e] = np.linalg.solve(T[s:e, s:e], x[s:e])
+    return x
 
 
 def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
@@ -155,8 +204,7 @@ def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
     """Exact inner-product adjoint of cov_deriv, projected to based fields."""
     omega = _check_edge(graph, group, omega)
     xi = _check_edge(graph, group, xi)
-    tails = np.array([t for t, _ in graph.edges])
-    heads = np.array([h for _, h in graph.edges])
+    heads, tails = graph.heads, graph.tails
     # <d mu, xi> = sum_e <mu_h - mu_t, xi_e> + <(mu_h+mu_t)/2, -[w_e, xi_e]>
     out = np.zeros((graph.n_vertices, ALG_DIM[group]))
     np.add.at(out, heads, xi)
@@ -168,7 +216,12 @@ def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
 
 
 class GreenOperator:
-    """Inverse of the based covariant Laplacian, dense Cholesky, cached per omega."""
+    """Inverse of the based covariant Laplacian d_w* d_w for one omega.
+
+    The Laplacian is assembled directly from per-edge blocks (_based_laplacian)
+    and factored once with a dense Cholesky; each solve is a forward and a back
+    triangular substitution on the cached factor, checked by its residual
+    against the Laplacian."""
 
     def __init__(self, graph: GraphX, group: str, omega: np.ndarray,
                  tolerance: float = 1e-10):
@@ -176,8 +229,7 @@ class GreenOperator:
         self.group = group
         self.omega = _check_edge(graph, group, omega)
         self.tolerance = tolerance
-        D = _cov_matrix(graph, group, omega)
-        L = D.T @ D
+        L = _based_laplacian(graph, group, self.omega)
         try:
             self._chol = np.linalg.cholesky(L)
         except np.linalg.LinAlgError:
@@ -201,8 +253,8 @@ class GreenOperator:
         """u with (d* d) u = v on based fields; relative residual checked."""
         v = _check_vertex(self.graph, self.group, v)
         rhs = self._to_coords(project_based(self.graph, v))
-        y = np.linalg.solve(self._chol, rhs)
-        x = np.linalg.solve(self._chol.T, y)
+        y = _solve_triangular(self._chol, rhs, lower=True)
+        x = _solve_triangular(self._chol.T, y, lower=False)
         res = np.linalg.norm(self._L @ x - rhs)
         scale = max(np.linalg.norm(rhs), 1.0)
         if res > self.tolerance * scale:
@@ -233,12 +285,10 @@ def ad_star(graph: GraphX, group: str, xi1: np.ndarray, eta: np.ndarray) -> np.n
     basepoint row zeroed.  Antisymmetric in (xi1, eta)."""
     xi1 = _check_edge(graph, group, xi1)
     eta = _check_edge(graph, group, eta)
-    tails = np.array([t for t, _ in graph.edges])
-    heads = np.array([h for _, h in graph.edges])
     br = -0.5 * alg_bracket(group, xi1, eta)
     out = np.zeros((graph.n_vertices, ALG_DIM[group]))
-    np.add.at(out, heads, br)
-    np.add.at(out, tails, br)
+    np.add.at(out, graph.heads, br)
+    np.add.at(out, graph.tails, br)
     return project_based(graph, out)
 
 
@@ -308,8 +358,7 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
           np.max(np.abs(ad_star(graph, group, xi, eta) + ad_star(graph, group, eta, xi))),
           1e-12)
     pair_lhs = np.sum(ad_star(graph, group, xi, eta) * mu)
-    bracket_term = alg_bracket(group, xi, 0.5 * (mu[[h for _, h in graph.edges]]
-                                                 + mu[[t for t, _ in graph.edges]]))
+    bracket_term = alg_bracket(group, xi, 0.5 * (mu[graph.heads] + mu[graph.tails]))
     pair_rhs = np.sum(eta * bracket_term)
     check("ad_star_pairing", abs(pair_lhs - pair_rhs), 1e-12)
 

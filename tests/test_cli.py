@@ -172,6 +172,9 @@ def test_classes_twist_scene(tmp_path, capsys):
     assert doc["report_hash"] == report_hash(doc)
     val = doc["pairings"][0]["value"]
     assert val[0] == pytest.approx(1.0, abs=1e-8)
+    # closedness is reported, not judged: no pass flag without a tolerance
+    (closed,) = [c for c in doc["checks"] if c["name"] == "closedness_r0"]
+    assert closed["informational"] is True and "pass" not in closed
     capsys.readouterr()
 
 
@@ -191,6 +194,22 @@ def test_classes_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", ["base.sizes = a", "fiber.lengths = 6.28,x"])
+def test_classes_malformed_number_exit_code(tmp_path, capsys, line):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(f"fiber.sizes = 8,8\nclasses = 0\n{line}\n")
+    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert "error" in capsys.readouterr().err
+
+
+def test_transform_non_object_document_exit_code(tmp_path, capsys):
+    src = tmp_path / "list.json"
+    src.write_text("[1,2]")
+    assert main(["transform", "--input", str(src),
+                 "--direction", "forward"]) == EXIT_VALIDATION
+    assert "error" in capsys.readouterr().err
+
+
 def test_universal_command_and_determinism(tmp_path, capsys):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["universal", "--graph", "torus:4:4", "--group", "su2",
@@ -205,6 +224,19 @@ def test_universal_command_and_determinism(tmp_path, capsys):
 
 def test_universal_bad_graph_exit_code(capsys):
     assert main(["universal", "--graph", "ring:2"]) == EXIT_VALIDATION
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["torus:x:4", "ring:abc"])
+def test_universal_malformed_graph_spec_exit_code(capsys, spec):
+    assert main(["universal", "--graph", spec]) == EXIT_VALIDATION
+    assert "error" in capsys.readouterr().err
+
+
+def test_universal_has_no_checks_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["universal", "--checks", "nonsense"])
+    assert exc.value.code == EXIT_VALIDATION
     capsys.readouterr()
 
 

@@ -24,6 +24,21 @@ from caloron.universal import (
 )
 
 
+def _cov_matrix(graph, group, omega):
+    """Dense oracle: cov_deriv applied to each based basis vector, one column each
+    (basepoint column removed)."""
+    g = uni.ALG_DIM[group]
+    keep = [v for v in range(graph.n_vertices) if v != graph.basepoint]
+    D = np.zeros((graph.n_edges * g, len(keep) * g))
+    basis = np.zeros((graph.n_vertices, g))
+    for col, v in enumerate(keep):
+        for c in range(g):
+            basis[v, c] = 1.0
+            D[:, col * g + c] = cov_deriv(graph, group, omega, basis).ravel()
+            basis[v, c] = 0.0
+    return D
+
+
 def test_graph_validation():
     with pytest.raises(ConfigError):
         GraphX(2, ((0, 1),))
@@ -41,6 +56,24 @@ def test_parse_graph():
     assert len(t.plaquettes) == 12
     with pytest.raises(ConfigError):
         parse_graph("chain:5")
+    for bad in ("torus:x:4", "ring:abc", "ring:2.5", "torus:4", "ring:4:4"):
+        with pytest.raises(ConfigError):
+            parse_graph(bad)
+
+
+def test_graph_size_cap():
+    with pytest.raises(ConfigError, match="dense-solve cap"):
+        parse_graph("torus:100:100")
+    with pytest.raises(ConfigError, match="dense-solve cap"):
+        GraphX.ring(uni.MAX_VERTICES + 1)
+    assert GraphX.ring(uni.MAX_VERTICES).n_vertices == uni.MAX_VERTICES
+
+
+def test_edge_index_arrays():
+    t = GraphX.torus(3, 4)
+    assert t.tails.dtype == np.intp and t.heads.dtype == np.intp
+    assert list(zip(t.tails.tolist(), t.heads.tolist())) == list(t.edges)
+    assert t.heads is t.heads  # computed once per graph
 
 
 def test_alg_bracket():
@@ -62,13 +95,40 @@ def test_adjoint_is_matrix_transpose():
     g = GraphX.torus(3, 3)
     rng = np.random.default_rng(0)
     omega = rng.standard_normal((g.n_edges, 3))
-    D = uni._cov_matrix(g, SU2, omega)
+    D = _cov_matrix(g, SU2, omega)
     xi = rng.standard_normal((g.n_edges, 3))
     direct = adjoint_cov_deriv(g, SU2, omega, xi)
     keep = [v for v in range(g.n_vertices) if v != g.basepoint]
     dense = (D.T @ xi.ravel()).reshape(len(keep), 3)
     assert np.max(np.abs(direct[keep] - dense)) < 1e-12
     assert np.all(direct[g.basepoint] == 0.0)
+
+
+@pytest.mark.parametrize("spec", ["ring:8", "torus:3:4"])
+@pytest.mark.parametrize("group", [U1, SU2])
+def test_laplacian_assembly_matches_dense_oracle(spec, group):
+    g = parse_graph(spec)
+    rng = np.random.default_rng(11)
+    omega = rng.standard_normal((g.n_edges, uni.ALG_DIM[group]))
+    D = _cov_matrix(g, group, omega)
+    L = uni._based_laplacian(g, group, omega)
+    scale = np.max(np.abs(L))
+    assert L.shape == (D.shape[1], D.shape[1])
+    assert np.max(np.abs(L - D.T @ D)) <= 1e-12 * scale
+    assert np.max(np.abs(L - L.T)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_blocked_triangular_solve_matches_dense(lower):
+    n = 3 * uni._TRI_BLOCK + 7  # several blocks plus a ragged last one
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((n, n))
+    C = np.linalg.cholesky(M @ M.T + n * np.eye(n))
+    T = C if lower else C.T
+    b = rng.standard_normal(n)
+    x = uni._solve_triangular(T, b, lower=lower)
+    ref = np.linalg.solve(T, b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_green_hand_oracle_ring4():
@@ -186,6 +246,13 @@ def test_full_curvature_antisymmetric():
 def test_property_suite_green(spec, group):
     results = run_property_suite(parse_graph(spec), group, seed=3)
     assert results, "empty suite"
+    for name, residual, tol, ok in results:
+        assert ok, f"{name}: residual {residual} > {tol}"
+
+
+def test_property_suite_green_large_torus():
+    # the benchmark size: 16 x 32 torus, 1533 su(2) unknowns
+    results = run_property_suite(parse_graph("torus:16:32"), SU2, seed=3)
     for name, residual, tol, ok in results:
         assert ok, f"{name}: residual {residual} > {tol}"
 

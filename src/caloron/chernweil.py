@@ -72,12 +72,16 @@ def _dedupe_by_keys(keys: tuple):
     return out
 
 
-def eval_invariant(f: InvariantPolynomial, args: list) -> FormField:
+def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None) -> FormField:
     """Symmetrized evaluation of f on k algebra-valued forms, wedged on indices.
 
     Repeated arguments are collapsed via the multiset of argument identities, so
     the permutation sum stays exact for repeated entries at any k <= 6.  Returns
     a scalar-valued form; degrees above the grid dimension give the zero form.
+    With `fiber` given, only components with exactly that many fiber indices
+    are computed (the bidegree part of the full result).  A split of a
+    component into argument blocks is skipped when any block is missing, and a
+    component no split reaches is left out.
     """
     k = f.degree
     if len(args) != k:
@@ -90,9 +94,8 @@ def eval_invariant(f: InvariantPolynomial, args: list) -> FormField:
     if f.kind == ABELIAN and group != U1:
         raise DomainError("abelian_power applies to U(1) data only")
     total_degree = sum(a.degree for a in args)
-    out = FormField.zero(grid, SCALAR, total_degree)
     if total_degree > grid.dim:
-        return out
+        return FormField.zero(grid, SCALAR, total_degree)
 
     abelian = group in (U1, SCALAR)
     # identify repeated argument objects so the symmetrization collapses
@@ -100,19 +103,26 @@ def eval_invariant(f: InvariantPolynomial, args: list) -> FormField:
     orderings = [tuple(range(k))] if abelian else _dedupe_by_keys(ids)
     weight = 1.0 / len(orderings)
 
+    out = {}
     for key in form_components(grid.dim, total_degree):
-        acc = np.zeros(grid.sizes, dtype=complex)
+        if fiber is not None and args[0].fiber_count(key) != fiber:
+            continue
+        acc = None
         for order in orderings:
             degs = tuple(args[i].degree for i in order)
             for blocks, sign in _ordered_splits(key, degs):
-                prod = None
-                for idx, I in zip(order, blocks):
-                    val = args[idx].comps[I]
-                    prod = val if prod is None else (prod * val if abelian else prod @ val)
+                vals = [args[idx].comps.get(I) for idx, I in zip(order, blocks)]
+                if any(v is None for v in vals):
+                    continue
+                prod = vals[0]
+                for val in vals[1:]:
+                    prod = prod * val if abelian else prod @ val
                 term = prod if abelian else np.trace(prod, axis1=-2, axis2=-1)
-                acc = acc + (sign * weight) * term
-        out.comps[key] = acc * f.normalization
-    return out
+                term = (sign * weight) * term
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[key] = acc * f.normalization
+    return FormField(grid, SCALAR, total_degree, out)
 
 
 def _ordered_splits(key: tuple, degrees: tuple):
@@ -144,26 +154,25 @@ def fiber_integrate(w: FormField) -> FormField:
     """Integrate a scalar-valued form on the product over all fiber axes.
 
     Components carrying fewer fiber indices than dim X map to zero; the rest
-    lose their fiber indices and keep the base block.
+    lose their fiber indices and keep the base block.  The result holds every
+    component of its degree.
     """
     grid = w.grid
     fiber = grid.fiber_axes
     d = len(fiber)
     base_grid = grid.base_grid()
     out_degree = max(w.degree - d, 0)
-    if w.degree < d:
-        return FormField.zero(base_grid, SCALAR, out_degree)
-    out = FormField.zero(base_grid, SCALAR, out_degree)
+    # every component of the base degree is present, zero or not
+    out = {key: np.zeros(base_grid.sizes, dtype=complex)
+           for key in form_components(base_grid.dim, out_degree)}
     vol = grid.volume(fiber)
     for key, arr in w.comps.items():
-        fiber_part = tuple(a for a in key if a in fiber)
-        if len(fiber_part) != d:
+        if w.fiber_count(key) != d:
             continue
-        base_part = tuple(a for a in key if a not in fiber)
         # base axes keep their indices (base axes lead the product grid)
-        reduced = np.mean(arr, axis=fiber) * vol
-        out.comps[base_part] = out.comps[base_part] + reduced
-    return out
+        base_part = key[:len(key) - d]
+        out[base_part] = out[base_part] + np.mean(arr, axis=fiber) * vol
+    return FormField(base_grid, SCALAR, out_degree, out)
 
 
 def closedness_residual(w: FormField) -> float:
@@ -179,7 +188,7 @@ def pair_with_cycle(w: FormField, axes: tuple, basepoint: dict | None = None) ->
     key = tuple(sorted(axes))
     if len(key) != w.degree:
         raise DegreeError(f"cycle dimension {len(key)} != form degree {w.degree}")
-    arr = w.comps[key] if key else w.comps[()]
+    arr = w.component(key)
     basepoint = basepoint or {}
     idx = []
     for a in range(w.grid.dim):
@@ -245,15 +254,13 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
         integrand = symbolic.caloron_integrand(d, k)
         total_form = None
         for word, coeff in integrand.terms.items():
-            val = eval_invariant(f, [gen_map[g] for g in word])
-            val = val.bidegree_part(2 * k - d, d)
+            val = eval_invariant(f, [gen_map[g] for g in word], fiber=d)
             term = float(coeff) * val
             total_form = term if total_form is None else total_form + term
         w2k = total_form if total_form is not None \
             else FormField.zero(grid, SCALAR, 2 * k)
     else:
-        total = triple.total()
-        w2k = eval_invariant(f, [total] * k).bidegree_part(2 * k - d, d)
+        w2k = eval_invariant(f, [triple.total()] * k, fiber=d)
 
     class_form = fiber_integrate(w2k)
     residual = closedness_residual(class_form)
@@ -277,7 +284,7 @@ def string_class(data, f: InvariantPolynomial, k: int,
     if f.degree != k:
         raise ArityError(f"polynomial degree {f.degree} != k={k}")
     args = [triple.F_A] * (k - 1) + [triple.NablaPhi]
-    w2k = eval_invariant(f, args).bidegree_part(2 * k - 1, 1)
+    w2k = eval_invariant(f, args, fiber=1)
     class_form = fiber_integrate(float(k) * w2k)
     pairings = []
     for name, axes, basepoint in (cycles or []):

@@ -75,12 +75,14 @@ def cmd_transform(args) -> int:
             if kind != "product_connection":
                 raise ConfigError("forward transform needs a product_connection document")
             w = serialize.connection_from_doc(doc)
+            del doc  # release the parsed input before the output is encoded
             a, phi = forward_transform(w)
             out = serialize.pair_to_doc(a, phi)
         elif args.direction == "inverse":
             if kind != "transform_pair":
                 raise ConfigError("inverse transform needs a transform_pair document")
             a, phi = serialize.pair_from_doc(doc)
+            del doc  # release the parsed input before the output is encoded
             out = serialize.connection_to_doc(inverse_transform(a, phi))
         else:  # roundtrip
             if kind == "product_connection":

@@ -11,6 +11,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 from math import pi
 
@@ -211,7 +212,13 @@ def form_components(dim: int, degree: int) -> list:
 
 @dataclass
 class FormField:
-    """Algebra- or scalar-valued p-form sampled on a periodic grid."""
+    """Algebra- or scalar-valued p-form sampled on a periodic grid.
+
+    `comps` holds only the components that are present; a missing key is the
+    zero component.  Keys are strictly increasing axis tuples of length
+    `degree`.  Forms share arrays with the forms they were built from, so
+    component arrays are never written in place.
+    """
 
     grid: Grid
     group: str
@@ -222,21 +229,30 @@ class FormField:
         if not 0 <= self.degree:
             raise DegreeError(f"degree {self.degree} negative")
         shape = self.grid.sizes + value_shape(self.group)
-        full = {}
-        for key in form_components(self.grid.dim, self.degree):
-            arr = self.comps.get(key)
-            if arr is None:
-                arr = np.zeros(shape, dtype=complex)
-            else:
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != shape:
-                    raise ShapeError(f"component {key} has shape {arr.shape}, expected {shape}")
-            full[key] = arr
-        self.comps = full
+        valid = _component_keys(self.grid.dim, self.degree)
+        comps = {}
+        for key, arr in self.comps.items():
+            if key not in valid:
+                raise ShapeError(f"component key {key!r} is not a strictly increasing "
+                                 f"tuple of {self.degree} axes of a "
+                                 f"{self.grid.dim}-dimensional grid")
+            arr = np.asarray(arr, dtype=complex)
+            if arr.shape != shape:
+                raise ShapeError(f"component {key} has shape {arr.shape}, expected {shape}")
+            comps[key] = arr
+        self.comps = comps
 
     @classmethod
     def zero(cls, grid: Grid, group: str, degree: int) -> "FormField":
         return cls(grid, group, degree, {})
+
+    def component(self, key: tuple) -> np.ndarray:
+        """The component `key`, or a read-only zero array when it is missing."""
+        arr = self.comps.get(key)
+        if arr is None:
+            arr = np.broadcast_to(np.zeros((), dtype=complex),
+                                  self.grid.sizes + value_shape(self.group))
+        return arr
 
     def copy(self) -> "FormField":
         return FormField(self.grid, self.group, self.degree,
@@ -246,8 +262,10 @@ class FormField:
         _check_compatible(self, other)
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
-        return FormField(self.grid, self.group, self.degree,
-                         {k: self.comps[k] + other.comps[k] for k in self.comps})
+        comps = dict(self.comps)
+        for k, v in other.comps.items():
+            comps[k] = comps[k] + v if k in comps else v
+        return FormField(self.grid, self.group, self.degree, comps)
 
     def __sub__(self, other: "FormField") -> "FormField":
         return self + (-1.0) * other
@@ -264,11 +282,17 @@ class FormField:
         return sum(1 for a in key if a in fiber)
 
     def bidegree_part(self, base: int, fiber: int) -> "FormField":
-        """Sub-form keeping only components with the given (base, fiber) axis counts."""
+        """Sub-form keeping only components with the given (base, fiber) axis
+        counts; it shares their arrays."""
         if base + fiber != self.degree:
             return FormField.zero(self.grid, self.group, self.degree)
         keep = {k: v for k, v in self.comps.items() if self.fiber_count(k) == fiber}
         return FormField(self.grid, self.group, self.degree, keep)
+
+
+@lru_cache(maxsize=None)
+def _component_keys(dim: int, degree: int) -> frozenset:
+    return frozenset(form_components(dim, degree))
 
 
 def _check_compatible(a: FormField, b: FormField) -> None:
@@ -283,7 +307,8 @@ def central_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray
 
 
 def ext_deriv(f: FormField) -> FormField:
-    """Central-difference periodic exterior derivative."""
+    """Central-difference periodic exterior derivative; it emits only the
+    components that receive a term."""
     if f.degree >= f.grid.dim:
         raise DegreeError(f"cannot differentiate a degree-{f.degree} form on a "
                           f"{f.grid.dim}-dimensional grid")
@@ -292,10 +317,16 @@ def ext_deriv(f: FormField) -> FormField:
     for key in form_components(f.grid.dim, f.degree + 1):
         acc = None
         for j, a in enumerate(key):
-            rest = key[:j] + key[j + 1:]
-            term = ((-1) ** j) * central_difference(f.comps[rest], a, h[a])
-            acc = term if acc is None else acc + term
-        out[key] = acc
+            arr = f.comps.get(key[:j] + key[j + 1:])
+            if arr is None:
+                continue
+            term = central_difference(arr, a, h[a])
+            if acc is None:
+                acc = -term if j % 2 else term
+            else:
+                acc = acc - term if j % 2 else acc + term
+        if acc is not None:
+            out[key] = acc
     return FormField(f.grid, f.group, f.degree + 1, out)
 
 
@@ -307,7 +338,8 @@ def shuffle_sign(I: tuple, J: tuple) -> int:
 
 def wedge(a: FormField, b: FormField, mul=None) -> FormField:
     """Componentwise wedge with pointwise value multiplication `mul` (default: product
-    for scalar/U(1) values, matrix product for SU(2))."""
+    for scalar/U(1) values, matrix product for SU(2)); terms with a missing factor
+    are skipped."""
     _check_compatible(a, b)
     deg = a.degree + b.degree
     if deg > a.grid.dim:
@@ -319,9 +351,13 @@ def wedge(a: FormField, b: FormField, mul=None) -> FormField:
         acc = None
         for I in combinations(key, a.degree):
             J = tuple(x for x in key if x not in I)
-            term = shuffle_sign(I, J) * mul(a.comps[I], b.comps[J])
+            x, y = a.comps.get(I), b.comps.get(J)
+            if x is None or y is None:
+                continue
+            term = shuffle_sign(I, J) * mul(x, y)
             acc = term if acc is None else acc + term
-        out[key] = acc
+        if acc is not None:
+            out[key] = acc
     return FormField(a.grid, a.group, deg, out)
 
 
@@ -348,8 +384,7 @@ def integrate(f: FormField, axes=None):
     if f.degree != len(key):
         raise DegreeError(f"degree-{f.degree} form cannot be integrated over "
                           f"{len(key)} axes")
-    arr = f.comps[key]
-    return np.mean(arr, axis=key) * f.grid.volume(key)
+    return np.mean(f.component(key), axis=key) * f.grid.volume(key)
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +480,25 @@ def gauge_transform_links(u: LinkField, g: np.ndarray) -> LinkField:
 
 
 def gauge_transform_connection(A: FormField, g: np.ndarray) -> FormField:
-    """Connection 1-form transform g A g^{-1} + g d(g^{-1}), central differences."""
+    """Connection 1-form transform g A g^{-1} + g d(g^{-1}), central differences.
+
+    Every component is present in the result: the g d(g^{-1}) term appears
+    also where A has no component."""
     if A.degree != 1:
         raise DegreeError("connection transform needs a 1-form")
     h = A.grid.spacings
     ginv = group_inverse(A.group, g)
     out = {}
-    for key in A.comps:
-        a = key[0]
+    for a in range(A.grid.dim):
         dginv = central_difference(ginv, a, h[a])
-        if A.group == U1:
-            out[key] = A.comps[key] + g * dginv
+        g_dginv = g * dginv if A.group == U1 else g @ dginv
+        arr = A.comps.get((a,))
+        if arr is None:
+            out[(a,)] = g_dginv
+        elif A.group == U1:
+            out[(a,)] = arr + g_dginv
         else:
-            out[key] = g @ A.comps[key] @ ginv + g @ dginv
+            out[(a,)] = g @ arr @ ginv + g_dginv
     return FormField(A.grid, A.group, 1, out)
 
 
@@ -494,30 +535,33 @@ def sample(family: str, grid: Grid, group: str = U1, params: dict | None = None,
            seed: int = 0):
     """Deterministic test-configuration library.
 
-    Families: zero, u1_harmonic(modes), su2_band_limited(max_mode),
-    constant_curvature_torus(c) (returns a LinkField on a 2-d grid).
+    Families: zero, u1_harmonic(max_mode), su2_band_limited(max_mode),
+    constant_curvature_torus(c) (returns a LinkField on a 2-d grid).  The
+    band-limited families need 0 <= max_mode <= min(grid.sizes) // 2.
     """
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     if family == "zero":
         return FormField.zero(grid, group, 1)
+    if family == "constant_curvature_torus":
+        return constant_curvature_torus(grid, int(params.get("c", 1)))
+    if family not in ("u1_harmonic", "su2_band_limited"):
+        raise ConfigError(f"unknown sample family {family!r}")
+    max_mode = int(params.get("max_mode", 2))
+    if not 0 <= max_mode <= min(grid.sizes) // 2:
+        # past the Nyquist limit of the coarsest axis the modes only alias
+        raise ConfigError(f"max_mode {max_mode} outside 0..{min(grid.sizes) // 2} "
+                          f"for grid sizes {grid.sizes}")
+    comps = {}
     if family == "u1_harmonic":
-        max_mode = int(params.get("max_mode", 2))
-        comps = {}
         for a in range(grid.dim):
             comps[(a,)] = 1j * band_limited_scalar(grid, max_mode, rng)
         return FormField(grid, U1, 1, comps)
-    if family == "su2_band_limited":
-        max_mode = int(params.get("max_mode", 2))
-        comps = {}
-        for a in range(grid.dim):
-            coords = np.stack([band_limited_scalar(grid, max_mode, rng) for _ in range(3)],
-                              axis=-1)
-            comps[(a,)] = su2_from_coords(coords)
-        return FormField(grid, SU2, 1, comps)
-    if family == "constant_curvature_torus":
-        return constant_curvature_torus(grid, int(params.get("c", 1)))
-    raise ConfigError(f"unknown sample family {family!r}")
+    for a in range(grid.dim):
+        coords = np.stack([band_limited_scalar(grid, max_mode, rng) for _ in range(3)],
+                          axis=-1)
+        comps[(a,)] = su2_from_coords(coords)
+    return FormField(grid, SU2, 1, comps)
 
 
 def constant_curvature_torus(grid: Grid, c: int) -> LinkField:
@@ -546,7 +590,7 @@ def links_from_connection(A: FormField, twist: int = 0) -> LinkField:
     h = A.grid.spacings
     links = {}
     for a in range(A.grid.dim):
-        links[a] = group_exp(A.group, h[a] * A.comps[(a,)])
+        links[a] = group_exp(A.group, h[a] * A.component((a,)))
     u = LinkField(A.grid, A.group, links)
     if twist:
         if A.group != U1:

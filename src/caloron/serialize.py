@@ -1,15 +1,17 @@
 """JSON encoding of grids, fields, link fields and transform pairs.
 
 Complex numbers are [re, im] pairs; SU(2) matrices are 4 complex entries
-row-major.  Documents round-trip bit-exactly through float repr.
+row-major.  Documents round-trip bit-exactly through float repr.  A document
+whose structure or values cannot be decoded raises ConfigError.
 """
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CaloronError, ConfigError
 from .lattice import SU2, U1, FormField, Grid, LinkField
 from .transform import GaugeGroupConnection, HiggsFieldMap, ProductConnection
 
@@ -23,8 +25,26 @@ def _encode_array(arr: np.ndarray, group: str):
     return stacked.tolist()
 
 
+def _decoder(fn):
+    """Report a malformed document as ConfigError instead of whatever the
+    decoding step happened to raise."""
+
+    @functools.wraps(fn)
+    def wrapper(doc):
+        try:
+            return fn(doc)
+        except CaloronError:
+            raise
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed document: {type(exc).__name__}: {exc}") from None
+
+    return wrapper
+
+
 def _decode_array(data, group: str) -> np.ndarray:
     raw = np.asarray(data, dtype=float)
+    if raw.ndim < 1 or raw.shape[-1] != 2:
+        raise ConfigError(f"array entries must be [re, im] pairs, got shape {raw.shape}")
     cplx = raw[..., 0] + 1j * raw[..., 1]
     if group in (U1, "scalar"):
         return cplx
@@ -40,6 +60,7 @@ def grid_to_doc(grid: Grid) -> dict:
     }
 
 
+@_decoder
 def grid_from_doc(doc: dict) -> Grid:
     return Grid(sizes=tuple(doc["sizes"]), lengths=tuple(doc["lengths"]),
                 base_axes=tuple(doc.get("base_axes", ())))
@@ -55,6 +76,7 @@ def form_to_doc(f: FormField) -> dict:
     }
 
 
+@_decoder
 def form_from_doc(doc: dict) -> FormField:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
@@ -73,6 +95,7 @@ def links_to_doc(u: LinkField) -> dict:
     }
 
 
+@_decoder
 def links_from_doc(doc: dict) -> LinkField:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
@@ -90,6 +113,7 @@ def connection_to_doc(w: ProductConnection) -> dict:
     }
 
 
+@_decoder
 def connection_from_doc(doc: dict) -> ProductConnection:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
@@ -108,6 +132,7 @@ def pair_to_doc(a: GaugeGroupConnection, phi: HiggsFieldMap) -> dict:
     }
 
 
+@_decoder
 def pair_from_doc(doc: dict):
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
@@ -127,8 +152,10 @@ def load_document(path: str) -> dict:
 
 
 def save_document(doc: dict, path: str) -> None:
+    # json.dumps runs the C encoder; streaming json.dump would not
+    text = json.dumps(doc)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def document_kind(doc: dict) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iproduct
 from math import comb, factorial
 
 from .errors import DegreeError, NotAvailableError, ParityError, SizeLimitError
@@ -82,19 +81,6 @@ def word_from_powers(a: int, b: int, c: int) -> Word:
     return (FA,) * a + (FPHI,) * b + (NABLA,) * c
 
 
-def expand_power(k: int) -> Expression:
-    """All 3^k words of length k, coefficient 1 each."""
-    if not 1 <= k <= MAX_EXPAND_POWER:
-        raise SizeLimitError(f"power k={k} outside 1..{MAX_EXPAND_POWER}")
-    return Expression({w: Fraction(1) for w in _iproduct(GENERATORS, repeat=k)})
-
-
-def filter_bidegree(e: Expression, base: int, fiber: int) -> Expression:
-    return Expression(
-        {w: c for w, c in e.terms.items() if word_bidegree(w) == (base, fiber)}
-    )
-
-
 def canonicalize(e: Expression) -> Expression:
     """Merge words equal up to letter permutation, letters sorted FA < FPhi < NablaPhi."""
     out = {}
@@ -108,13 +94,23 @@ def caloron_integrand(d: int, k: int) -> Expression:
     """Canonical bidegree-(2k-d, d) part of the k-th power expansion.
 
     Each canonical word FA^a FPhi^b NablaPhi^c (a+b+c=k, 2b+c=d) carries the
-    multinomial coefficient k!/(a!b!c!).
+    multinomial coefficient k!/(a!b!c!), the number of length-k words with
+    those letter counts.
     """
     if k < 1:
         raise DegreeError(f"polynomial degree k={k} must be positive")
     if d < 0 or d > 2 * k:
         raise DegreeError(f"fiber degree d={d} outside 0..{2 * k}")
-    return canonicalize(filter_bidegree(expand_power(k), 2 * k - d, d))
+    if k > MAX_EXPAND_POWER:
+        raise SizeLimitError(f"power k={k} outside 1..{MAX_EXPAND_POWER}")
+    terms = {}
+    for b in range(d // 2 + 1):
+        c = d - 2 * b
+        a = k - b - c
+        if a >= 0:
+            terms[word_from_powers(a, b, c)] = Fraction(
+                factorial(k), factorial(a) * factorial(b) * factorial(c))
+    return Expression(terms)
 
 
 def abelian_closed_form(d: int, k: int) -> Expression:

@@ -129,7 +129,10 @@ class HiggsFieldMap:
 
 @dataclass
 class CurvatureTriple:
-    """Bidegree split of the total curvature: (2,0), (0,2) and (1,1) blocks."""
+    """Bidegree split of the total curvature: (2,0), (0,2) and (1,1) blocks.
+
+    The blocks have disjoint keys, so their sum shares every array with them.
+    """
 
     F_A: FormField
     F_Phi: FormField
@@ -186,21 +189,21 @@ def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
     Lives on the last two axes (both fiber when dim X = 2; mixed when dim X = 1),
     with the sign fixed so the Chern-normalized pairing is +twist.
     """
-    out = FormField.zero(grid, group, 2)
     if twist == 0:
-        return out
+        return FormField.zero(grid, group, 2)
     if group != U1:
         raise ConfigError("twists are supported for U(1) only")
     if grid.dim < 2:
         raise ConfigError("twist needs at least two axes")
     ax, ay = grid.dim - 2, grid.dim - 1
     area = grid.lengths[ax] * grid.lengths[ay]
-    out.comps[(ax, ay)] = np.full(grid.sizes, -1j * TWO_PI * twist / area, dtype=complex)
-    return out
+    return FormField(grid, group, 2, {
+        (ax, ay): np.full(grid.sizes, -1j * TWO_PI * twist / area, dtype=complex)})
 
 
 def curvature_split(w: ProductConnection) -> CurvatureTriple:
-    """F = dA + 1/2 [A, A] + twist background, partitioned by bidegree."""
+    """F = dA + 1/2 [A, A] + twist background, partitioned by bidegree; the
+    blocks share F's arrays."""
     A = w.one_form()
     F = ext_deriv(A)
     if w.group != U1:

@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from caloron import lattice as lat, serialize
 from caloron.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from caloron.errors import ConfigError
-from caloron.lattice import SU2, U1, Grid, LinkField
+from caloron.errors import ConfigError, ShapeError
+from caloron.lattice import SCALAR, SU2, U1, FormField, Grid, LinkField
 from caloron.scene import SceneConfig, parse_config_text, report_hash
 from caloron.transform import ProductConnection, forward_transform
 
@@ -58,6 +59,30 @@ def test_document_kind():
     assert serialize.document_kind(serialize.connection_to_doc(w)) == "product_connection"
     assert serialize.document_kind(serialize.pair_to_doc(*forward_transform(w))) == \
         "transform_pair"
+
+
+def test_form_doc_round_trip_and_key_validation():
+    g = Grid(sizes=(4, 6, 8), base_axes=(0,))
+    f = FormField(g, SCALAR, 2, {(0, 2): np.arange(4 * 6 * 8).reshape(g.sizes) * 1j})
+    doc = json.loads(json.dumps(serialize.form_to_doc(f)))
+    assert set(doc["components"]) == {"0,2"}
+    back = serialize.form_from_doc(doc)
+    assert set(back.comps) == {(0, 2)}
+    assert np.array_equal(back.comps[(0, 2)], f.comps[(0, 2)])
+    doc["components"] = {"2,0": doc["components"]["0,2"]}
+    with pytest.raises(ShapeError):
+        serialize.form_from_doc(doc)
+
+
+def test_save_document_bytes_match_json_dump(tmp_path):
+    w = _connection(SU2, seed=6)
+    doc = serialize.connection_to_doc(w)
+    doc["note"] = {"unicode": "\u00e9", "float": 0.1, "neg_zero": -0.0}
+    path = tmp_path / "fast.json"
+    serialize.save_document(doc, str(path))
+    with open(tmp_path / "stream.json", "w") as fh:
+        json.dump(doc, fh)
+    assert path.read_bytes() == (tmp_path / "stream.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +273,77 @@ def test_selftest_green_and_deterministic(tmp_path, capsys):
     assert a["report_hash"] == b["report_hash"]
     assert all(c["pass"] for c in a["checks"])
     capsys.readouterr()
+
+
+def test_classes_max_mode_bound_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\n"
+                   "family.max_mode = 1000\nclasses = 1\n")
+    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert "max_mode" in capsys.readouterr().err
+
+
+def _zero_connection_doc() -> dict:
+    grid = Grid(sizes=(4, 4, 4), base_axes=(0,))
+    return json.loads(json.dumps(serialize.connection_to_doc(
+        ProductConnection.zero(grid, U1))))
+
+
+@pytest.mark.parametrize("path,value", [
+    (("grid", "sizes"), [4, "x", 4]),
+    (("twist",), "a"),
+    (("components", "1"), "abc"),
+    (("components", "1"), [[[0.0, 0.0]], [[0.0]]]),
+    (("components", "1"), 5),
+])
+def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
+    doc = _zero_connection_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src),
+                 "--direction", "forward"]) == EXIT_VALIDATION
+    assert "error" in capsys.readouterr().err
+
+
+# integers stay small, so a mutated grid size never asks for a large grid
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+# paths into a saved zero connection; the entry at the end is replaced
+_mutation_paths = st.sampled_from([
+    ("kind",), ("group",), ("twist",), ("grid",), ("grid", "sizes"),
+    ("grid", "sizes", 1), ("grid", "lengths", 0), ("grid", "base_axes"),
+    ("components",), ("components", "0"), ("components", "2", 1),
+    ("components", "1", 2, 3), ("components", "1", 0, 0, 1),
+])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=_mutation_paths, value=_json_values, rename=st.booleans(),
+       direction=st.sampled_from(["forward", "inverse", "roundtrip"]))
+def test_transform_fuzzed_document_never_crashes(tmp_path, capsys, path, value,
+                                                 rename, direction):
+    """A saved zero connection with one entry replaced (or its key renamed)
+    ends with a documented exit code, never an exception."""
+    doc = _zero_connection_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if rename and isinstance(target, dict) and isinstance(value, str):
+        target[value] = target.pop(path[-1])
+    else:
+        target[path[-1]] = value
+    src = tmp_path / "fuzz.json"
+    src.write_text(json.dumps(doc))
+    code = main(["transform", "--input", str(src), "--direction", direction,
+                 "--output", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

@@ -284,3 +284,32 @@ def test_form_shape_validation():
         FormField(g, U1, 1, {(0,): np.zeros((4, 4))})
     with pytest.raises(ShapeError):
         FormField(g, U1, 1) + FormField(_grid2(16), U1, 1)
+
+
+def test_form_rejects_invalid_component_keys():
+    g = _grid2(8)
+    ones = np.ones(g.sizes, dtype=complex)
+    for key in [(1, 0), (0, 0), (0, 2), (-1, 1), (0,), (0, 1, 1)]:
+        with pytest.raises(ShapeError):
+            FormField(g, U1, 2, {key: ones})
+    assert FormField(g, U1, 2, {(0, 1): ones}).max_norm() == 1.0
+
+
+def test_form_missing_component_reads_as_zero():
+    g = _grid2(8)
+    f = FormField(g, U1, 1, {(1,): np.ones(g.sizes)})
+    assert set(f.comps) == {(1,)}
+    zero = f.component((0,))
+    assert zero.shape == g.sizes and not zero.any() and not zero.flags.writeable
+    assert f.component((1,)) is f.comps[(1,)]
+    assert lat.integrate(f, (0,)).shape == (8,) and not lat.integrate(f, (0,)).any()
+
+
+def test_sample_max_mode_bound():
+    g = Grid(sizes=(8, 12))
+    for fam, group in (("u1_harmonic", U1), ("su2_band_limited", SU2)):
+        assert lat.sample(fam, g, group, {"max_mode": 4}, seed=1).max_norm() > 0.0
+        assert lat.sample(fam, g, group, {"max_mode": 0}, seed=1).max_norm() == 0.0
+        for bad in (5, -1):
+            with pytest.raises(ConfigError):
+                lat.sample(fam, g, group, {"max_mode": bad}, seed=1)

@@ -1,5 +1,6 @@
 """Exact-arithmetic tests for the expansion engine and closed formulas."""
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +10,29 @@ from caloron.errors import DegreeError, NotAvailableError, ParityError, SizeLimi
 from caloron.symbolic import FA, FPHI, NABLA, Expression
 
 
+# brute-force oracle for the integrand: every word of the k-th power, filtered
+
+
+def expand_power(k: int) -> Expression:
+    """All 3^k words of length k, coefficient 1 each."""
+    if not 1 <= k <= sym.MAX_EXPAND_POWER:
+        raise SizeLimitError(f"power k={k} outside 1..{sym.MAX_EXPAND_POWER}")
+    return Expression({w: Fraction(1) for w in product(sym.GENERATORS, repeat=k)})
+
+
+def filter_bidegree(e: Expression, base: int, fiber: int) -> Expression:
+    return Expression(
+        {w: c for w, c in e.terms.items() if sym.word_bidegree(w) == (base, fiber)}
+    )
+
+
 def test_expand_power_k1():
-    e = sym.expand_power(1)
+    e = expand_power(1)
     assert e.terms == {(FA,): 1, (FPHI,): 1, (NABLA,): 1}
 
 
 def test_expand_power_k2_mass():
-    e = sym.expand_power(2)
+    e = expand_power(2)
     assert len(e.terms) == 9
     assert e.coefficient_mass() == 9
 
@@ -25,41 +42,41 @@ def test_expand_power_k3_multiset_count():
     from itertools import combinations_with_replacement
     expected = len(list(combinations_with_replacement(range(3), 3)))
     assert expected == 10
-    assert len(sym.canonicalize(sym.expand_power(3)).terms) == expected
+    assert len(sym.canonicalize(expand_power(3)).terms) == expected
 
 
 def test_expand_power_range_guard():
     with pytest.raises(SizeLimitError):
-        sym.expand_power(0)
+        expand_power(0)
     with pytest.raises(SizeLimitError):
-        sym.expand_power(13)
+        expand_power(13)
 
 
 def test_filter_pure_fa():
-    e = sym.filter_bidegree(sym.expand_power(3), 6, 0)
+    e = filter_bidegree(expand_power(3), 6, 0)
     assert e.terms == {(FA, FA, FA): 1}
 
 
 def test_filter_mixed_22():
     # oracle: enumerate all 9 words of length 2 and keep bidegree (2, 2)
-    keep = {w for w in sym.expand_power(2).terms if sym.word_bidegree(w) == (2, 2)}
+    keep = {w for w in expand_power(2).terms if sym.word_bidegree(w) == (2, 2)}
     assert keep == {(FA, FPHI), (FPHI, FA), (NABLA, NABLA)}
-    e = sym.filter_bidegree(sym.expand_power(2), 2, 2)
+    e = filter_bidegree(expand_power(2), 2, 2)
     assert set(e.terms) == keep
     assert all(c == 1 for c in e.terms.values())
 
 
 def test_filter_empty_is_legal():
-    e = sym.filter_bidegree(sym.expand_power(1), 3, 1)
+    e = filter_bidegree(expand_power(1), 3, 1)
     assert e.is_zero()
 
 
 def test_bidegree_mass_partition():
     # total coefficient mass over all bidegrees equals 3^k
     for k in range(1, 7):
-        e = sym.expand_power(k)
+        e = expand_power(k)
         mass = sum(
-            sym.filter_bidegree(e, 2 * k - d, d).coefficient_mass()
+            filter_bidegree(e, 2 * k - d, d).coefficient_mass()
             for d in range(0, 2 * k + 1)
         )
         assert mass == 3 ** k
@@ -122,6 +139,21 @@ def test_caloron_integrand_multinomial_coefficients():
 def test_caloron_integrand_degree_guard():
     with pytest.raises(DegreeError):
         sym.caloron_integrand(5, 2)
+    with pytest.raises(DegreeError):
+        sym.caloron_integrand(-1, 2)
+    with pytest.raises(DegreeError):
+        sym.caloron_integrand(0, 0)
+    with pytest.raises(SizeLimitError):
+        sym.caloron_integrand(2, sym.MAX_EXPAND_POWER + 1)
+    assert not sym.caloron_integrand(2, sym.MAX_EXPAND_POWER).is_zero()
+
+
+def test_caloron_integrand_matches_brute_force_oracle():
+    for k in range(1, 9):
+        power = expand_power(k)
+        for d in range(0, 2 * k + 1):
+            want = sym.canonicalize(filter_bidegree(power, 2 * k - d, d))
+            assert sym.caloron_integrand(d, k) == want, (d, k)
 
 
 def test_low_degree_examples():

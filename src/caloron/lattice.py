@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
-from math import pi
+from itertools import combinations, product
+from math import inf, pi
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class Grid:
             raise ConfigError("lengths/sizes mismatch")
         if any(n < 4 for n in sizes):
             raise ConfigError(f"grid sizes {sizes} must all be >= 4")
-        if any(l <= 0 for l in self.lengths):
-            raise ConfigError("grid lengths must be positive")
+        if not all(0.0 < l < inf for l in self.lengths):
+            raise ConfigError(f"grid lengths {self.lengths} must be positive and finite")
         if self.base_axes != tuple(range(len(self.base_axes))):
             raise ConfigError("base axes must be the leading axes")
 
@@ -508,27 +508,30 @@ def gauge_transform_connection(A: FormField, g: np.ndarray) -> FormField:
 
 def band_limited_scalar(grid: Grid, max_mode: int, rng: np.random.Generator,
                         amplitude: float = 1.0) -> np.ndarray:
-    """Real random trigonometric polynomial with per-axis modes up to max_mode."""
+    """Real random trigonometric polynomial with per-axis modes up to max_mode.
+
+    Each mode combination's cosine is evaluated only on the axes where its
+    mode is nonzero and broadcast into the output, so the cost is
+    prod(1 + 2 max_mode n_a) - 1 cosines.  Every grid point still sees the
+    same additions in the same order as a full-grid sum, and the generator
+    draws an amplitude and a phase per combination, in combination order.
+    """
     out = np.zeros(grid.sizes)
     modes = range(-max_mode, max_mode + 1)
-    for combo in _mode_combos(grid.dim, modes):
-        if all(m == 0 for m in combo):
+    # one broadcastable wave-number-times-coordinate term per axis and mode
+    terms = [{m: m * (TWO_PI / grid.lengths[axis]) * grid.coordinate(axis)
+              for m in modes if m} for axis in range(grid.dim)]
+    for combo in product(modes, repeat=grid.dim):
+        if not any(combo):
             continue
         amp = amplitude * rng.standard_normal() / (1 + sum(m * m for m in combo))
         phase = rng.uniform(0.0, TWO_PI)
-        arg = np.zeros(grid.sizes)
+        arg = None
         for axis, m in enumerate(combo):
             if m:
-                arg = arg + m * (TWO_PI / grid.lengths[axis]) * grid.coordinate(axis)
-        out = out + amp * np.cos(arg + phase)
+                arg = terms[axis][m] if arg is None else arg + terms[axis][m]
+        out += amp * np.cos(arg + phase)
     return out
-
-
-def _mode_combos(dim: int, modes) -> list:
-    combos = [()]
-    for _ in range(dim):
-        combos = [c + (m,) for c in combos for m in modes]
-    return combos
 
 
 def sample(family: str, grid: Grid, group: str = U1, params: dict | None = None,

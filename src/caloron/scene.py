@@ -73,6 +73,8 @@ class SceneConfig:
         self.family = raw.get("family", "zero")
         self.max_mode = _number(int, raw.get("family.max_mode", 2))
         self.seed = _number(int, raw.get("seed", 0))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         self.twist = _number(int, raw.get("twist", 0))
         self.poly_kind = raw.get("poly.kind", "chern_normalized")
         self.classes = _int_list(raw.get("classes", "0"))

@@ -41,6 +41,14 @@ def _decoder(fn):
     return wrapper
 
 
+def _integer(value, what: str) -> int:
+    """An integer field of a document: a float, bool or string there would be
+    silently truncated or parsed by int(), so it is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _decode_array(data, group: str) -> np.ndarray:
     raw = np.asarray(data, dtype=float)
     if raw.ndim < 1 or raw.shape[-1] != 2:
@@ -62,8 +70,9 @@ def grid_to_doc(grid: Grid) -> dict:
 
 @_decoder
 def grid_from_doc(doc: dict) -> Grid:
-    return Grid(sizes=tuple(doc["sizes"]), lengths=tuple(doc["lengths"]),
-                base_axes=tuple(doc.get("base_axes", ())))
+    return Grid(sizes=tuple(_integer(n, "grid size") for n in doc["sizes"]),
+                lengths=tuple(doc["lengths"]),
+                base_axes=tuple(_integer(a, "base axis") for a in doc.get("base_axes", ())))
 
 
 def form_to_doc(f: FormField) -> dict:
@@ -84,7 +93,7 @@ def form_from_doc(doc: dict) -> FormField:
     for key, data in doc["components"].items():
         axes = tuple(int(x) for x in key.split(",")) if key else ()
         comps[axes] = _decode_array(data, group)
-    return FormField(grid, group, int(doc["degree"]), comps)
+    return FormField(grid, group, _integer(doc["degree"], "degree"), comps)
 
 
 def links_to_doc(u: LinkField) -> dict:
@@ -118,7 +127,8 @@ def connection_from_doc(doc: dict) -> ProductConnection:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
     comps = {int(a): _decode_array(v, group) for a, v in doc["components"].items()}
-    return ProductConnection(grid, group, comps, twist=int(doc.get("twist", 0)))
+    return ProductConnection(grid, group, comps,
+                             twist=_integer(doc.get("twist", 0), "twist"))
 
 
 def pair_to_doc(a: GaugeGroupConnection, phi: HiggsFieldMap) -> dict:
@@ -142,7 +152,7 @@ def pair_from_doc(doc: dict):
     phi = HiggsFieldMap(grid, group,
                         {int(ax): _decode_array(v, group)
                          for ax, v in doc["Phi"].items()},
-                        twist=int(doc.get("twist", 0)))
+                        twist=_integer(doc.get("twist", 0), "twist"))
     return a, phi
 
 

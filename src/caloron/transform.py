@@ -34,6 +34,29 @@ def _check_product(grid: Grid) -> None:
         raise ConfigError("product grid needs at least one base and one fiber axis")
 
 
+def _block_comps(grid: Grid, group: str, comps: dict, axes) -> dict:
+    """Every axis of a block as an algebra array on the full grid, a missing
+    axis as zeros; a key that names no axis of the block is a ShapeError."""
+    _check_product(grid)
+    axes = tuple(axes)
+    stray = [a for a in comps if a not in axes]
+    if stray:
+        raise ShapeError(f"component keys {stray} name no axis of this block; "
+                         f"its axes are {list(axes)}")
+    shape = grid.sizes + value_shape(group)
+    full = {}
+    for a in axes:
+        arr = comps.get(a)
+        if arr is None:
+            arr = np.zeros(shape, dtype=complex)
+        else:
+            arr = np.asarray(arr, dtype=complex)
+            if arr.shape != shape:
+                raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
+        full[a] = arr
+    return full
+
+
 @dataclass
 class ProductConnection:
     """Connection 1-form on the product grid, periodic part plus twist metadata."""
@@ -44,19 +67,7 @@ class ProductConnection:
     twist: int = 0
 
     def __post_init__(self):
-        _check_product(self.grid)
-        shape = self.grid.sizes + value_shape(self.group)
-        full = {}
-        for a in range(self.grid.dim):
-            arr = self.comps.get(a)
-            if arr is None:
-                arr = np.zeros(shape, dtype=complex)
-            else:
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != shape:
-                    raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
-            full[a] = arr
-        self.comps = full
+        self.comps = _block_comps(self.grid, self.group, self.comps, range(self.grid.dim))
         if self.twist and self.group != U1:
             raise ConfigError("twists are supported for U(1) only")
 
@@ -85,19 +96,7 @@ class GaugeGroupConnection:
     comps: dict = field(default_factory=dict)  # base axis -> array on the full grid
 
     def __post_init__(self):
-        _check_product(self.grid)
-        shape = self.grid.sizes + value_shape(self.group)
-        full = {}
-        for a in self.grid.base_axes:
-            arr = self.comps.get(a)
-            if arr is None:
-                arr = np.zeros(shape, dtype=complex)
-            else:
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != shape:
-                    raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
-            full[a] = arr
-        self.comps = full
+        self.comps = _block_comps(self.grid, self.group, self.comps, self.grid.base_axes)
 
 
 @dataclass
@@ -110,19 +109,7 @@ class HiggsFieldMap:
     twist: int = 0
 
     def __post_init__(self):
-        _check_product(self.grid)
-        shape = self.grid.sizes + value_shape(self.group)
-        full = {}
-        for a in self.grid.fiber_axes:
-            arr = self.comps.get(a)
-            if arr is None:
-                arr = np.zeros(shape, dtype=complex)
-            else:
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != shape:
-                    raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
-            full[a] = arr
-        self.comps = full
+        self.comps = _block_comps(self.grid, self.group, self.comps, self.grid.fiber_axes)
         if self.twist and self.group != U1:
             raise ConfigError("twists are supported for U(1) only")
 

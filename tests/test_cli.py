@@ -219,7 +219,8 @@ def test_classes_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("line", ["base.sizes = a", "fiber.lengths = 6.28,x"])
+@pytest.mark.parametrize("line", ["base.sizes = a", "fiber.lengths = 6.28,x", "seed = -1",
+                                  "fiber.lengths = nan,6.28", "base.lengths = inf"])
 def test_classes_malformed_number_exit_code(tmp_path, capsys, line):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text(f"fiber.sizes = 8,8\nclasses = 0\n{line}\n")
@@ -295,6 +296,11 @@ def _zero_connection_doc() -> dict:
     (("components", "1"), "abc"),
     (("components", "1"), [[[0.0, 0.0]], [[0.0]]]),
     (("components", "1"), 5),
+    (("twist",), 1.5),
+    (("twist",), True),
+    (("grid", "sizes"), [4.9, 4, 4]),
+    (("grid", "sizes"), [4, "4", 4]),
+    (("grid", "base_axes"), [0.0]),
 ])
 def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     doc = _zero_connection_doc()
@@ -307,6 +313,28 @@ def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     assert main(["transform", "--input", str(src),
                  "--direction", "forward"]) == EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,key,direction", [
+    ("components", "7", "forward"),
+    ("components", "7", "roundtrip"),
+    ("components", "-1", "forward"),
+    ("Phi", "0", "inverse"),
+    ("A", "2", "inverse"),
+])
+def test_transform_stray_component_key_exit_code(tmp_path, capsys, block, key,
+                                                 direction):
+    """A component for an axis the block does not have is rejected, not dropped."""
+    doc = _zero_connection_doc()
+    if block != "components":
+        doc = serialize.pair_to_doc(*forward_transform(serialize.connection_from_doc(doc)))
+    doc[block][key] = doc[block][next(iter(doc[block]))]
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src), "--direction", direction,
+                 "--output", str(tmp_path / "out.json")]) == EXIT_VALIDATION
+    assert "no axis" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 # integers stay small, so a mutated grid size never asks for a large grid
@@ -347,3 +375,50 @@ def test_transform_fuzzed_document_never_crashes(tmp_path, capsys, path, value,
                  "--output", str(tmp_path / "out.json")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# a small valid scene: twist 1 on a 4 x 4 x 4 grid, whose point pairing is 1
+_SCENE = {
+    "base.sizes": "4", "fiber.sizes": "4,4", "base.lengths": "6.0",
+    "fiber.lengths": "6.0,7.0", "group": "u1", "family": "u1_harmonic",
+    "family.max_mode": "1", "seed": "3", "twist": "1", "poly.kind": "chern_normalized",
+    "classes": "0", "tol.pairing": "1e-8", "expect.pairing": "1",
+}
+
+# numbers and lists stay small, so a mutated size never asks for a large grid
+_small_int = st.integers(-3, 9).map(str)
+_scene_values = st.one_of(
+    _small_int,
+    st.lists(_small_int, min_size=1, max_size=3).map(",".join),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "inf", "-0", "1e400", "0x10", "4,", ",", "u1", "su2",
+                     "zero", "su2_band_limited", "constant_curvature_torus",
+                     "chern_normalized", "trace"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(_SCENE)), value=st.none() | _scene_values)
+def test_classes_fuzzed_scene_never_crashes(tmp_path, capsys, key, value):
+    """A small valid scene with one key replaced (or dropped, for None) ends
+    with a documented exit code, never an exception."""
+    scene = dict(_SCENE)
+    if value is None:
+        del scene[key]
+    else:
+        scene[key] = value
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in scene.items()))
+    code = main(["classes", "--config", str(cfg), "--report", str(tmp_path / "r.json")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_classes_fuzz_base_scene_passes(tmp_path, capsys):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _SCENE.items()))
+    assert main(["classes", "--config", str(cfg), "--report", str(tmp_path / "r.json")]) \
+        == EXIT_OK
+    capsys.readouterr()

@@ -20,6 +20,9 @@ def test_grid_validation():
         Grid(sizes=(8, 8), base_axes=(1,))
     with pytest.raises(ConfigError):
         Grid(sizes=(8,), lengths=(1.0, 2.0))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            Grid(sizes=(8, 8), lengths=(1.0, bad))
 
 
 def test_grid_geometry():
@@ -313,3 +316,66 @@ def test_sample_max_mode_bound():
         for bad in (5, -1):
             with pytest.raises(ConfigError):
                 lat.sample(fam, g, group, {"max_mode": bad}, seed=1)
+
+
+def _band_limited_scalar_oracle(grid, max_mode, rng, amplitude=1.0):
+    """The full-grid sum that band_limited_scalar must reproduce bit for bit:
+    one cosine over the whole grid for every mode combination."""
+    modes = range(-max_mode, max_mode + 1)
+    combos = [()]
+    for _ in range(grid.dim):
+        combos = [c + (m,) for c in combos for m in modes]
+    out = np.zeros(grid.sizes)
+    for combo in combos:
+        if all(m == 0 for m in combo):
+            continue
+        amp = amplitude * rng.standard_normal() / (1 + sum(m * m for m in combo))
+        phase = rng.uniform(0.0, TWO_PI)
+        arg = np.zeros(grid.sizes)
+        for axis, m in enumerate(combo):
+            if m:
+                arg = arg + m * (TWO_PI / grid.lengths[axis]) * grid.coordinate(axis)
+        out = out + amp * np.cos(arg + phase)
+    return out
+
+
+# (sizes, lengths, seeds, top max_mode): every dimension 1-6, lengths other
+# than 2*pi, max_mode up to the bound min(sizes) // 2; the 6-d grid stops at 1,
+# as its bound, 2, costs the oracle 5^6 full-grid cosines (about 3 s)
+_SAMPLER_GRIDS = [
+    ((8,), None, (0, 1, 2), 4),
+    ((5,), (1.5,), (3, 4), 2),
+    ((4, 9), (3.0, 0.7), (0, 5, 6), 2),
+    ((6, 4, 5), (1.0, 2.5, 7.0), (1, 2, 7), 2),
+    ((4, 6, 4, 5), None, (8, 9), 2),
+    ((4, 5, 4, 4, 6), (0.5, 1.0, 2.0, 4.0, 8.0), (10,), 2),
+    ((4,) * 6, (2.0,) * 6, (11, 12), 1),
+]
+
+
+@pytest.mark.parametrize("sizes,lengths,seeds,top", _SAMPLER_GRIDS)
+def test_band_limited_scalar_matches_full_grid_oracle(sizes, lengths, seeds, top):
+    grid = Grid(sizes=sizes, lengths=lengths)
+    for max_mode in range(top + 1):
+        for seed in seeds:
+            rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            amplitude = 0.5 + seed
+            got = lat.band_limited_scalar(grid, max_mode, rng, amplitude)
+            want = _band_limited_scalar_oracle(grid, max_mode, rng_oracle, amplitude)
+            assert got.tobytes() == want.tobytes(), (max_mode, seed)
+            # the same draws in the same order: the stream continues identically
+            assert rng.random() == rng_oracle.random()
+
+
+@pytest.mark.parametrize("family,group", [("u1_harmonic", U1), ("su2_band_limited", SU2)])
+def test_sample_matches_full_grid_oracle(monkeypatch, family, group):
+    grid = Grid(sizes=(4, 6, 5), lengths=(1.0, 3.0, 9.0), base_axes=(0,))
+    for max_mode in (0, 1, 2):
+        for seed in (3, 11):
+            got = lat.sample(family, grid, group, {"max_mode": max_mode}, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(lat, "band_limited_scalar", _band_limited_scalar_oracle)
+                want = lat.sample(family, grid, group, {"max_mode": max_mode}, seed=seed)
+            assert set(got.comps) == set(want.comps) == {(0,), (1,), (2,)}
+            for key, arr in want.comps.items():
+                assert got.comps[key].tobytes() == arr.tobytes(), (max_mode, seed, key)

@@ -67,6 +67,23 @@ def test_forward_blocks_are_views_of_the_right_axes():
     assert np.array_equal(phi.comps[2], w.comps[2])
 
 
+def test_blocks_reject_keys_outside_their_axes():
+    grid = Grid(sizes=(4, 6, 6), base_axes=(0,))
+    ones = np.ones(grid.sizes, dtype=complex)
+    for key in (3, 7, -1):
+        with pytest.raises(ShapeError):
+            ProductConnection(grid, U1, {0: ones, key: ones})
+    for key in (1, 2, 3):
+        with pytest.raises(ShapeError):
+            tr.GaugeGroupConnection(grid, U1, {key: ones})
+    for key in (0, 3):
+        with pytest.raises(ShapeError):
+            HiggsFieldMap(grid, U1, {1: ones, key: ones})
+    # every key naming an axis of its block is kept, a missing axis reads as zero
+    phi = HiggsFieldMap(grid, U1, {2: ones})
+    assert set(phi.comps) == {1, 2} and not phi.comps[1].any()
+
+
 def test_twist_requires_abelian():
     grid = _product_grid(6)
     with pytest.raises(ConfigError):

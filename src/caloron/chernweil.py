@@ -23,6 +23,7 @@ from .lattice import (
     ext_deriv,
     form_components,
     shuffle_sign,
+    value_shape,
 )
 from .transform import (
     CurvatureTriple,
@@ -155,24 +156,69 @@ def fiber_integrate(w: FormField) -> FormField:
 
     Components carrying fewer fiber indices than dim X map to zero; the rest
     lose their fiber indices and keep the base block.  The result holds every
-    component of its degree.
+    component of its degree.  caloron_class and string_class do the same
+    arithmetic one slab of base axis 0 at a time, never holding the whole
+    product-grid form this takes.
     """
-    grid = w.grid
-    fiber = grid.fiber_axes
-    d = len(fiber)
+    out = _zero_base_form(w.grid, w.degree)
+    _add_fiber_means(w, out.comps, slice(None))
+    return out
+
+
+def _zero_base_form(grid: Grid, degree: int) -> FormField:
+    """The zero fiber integral of a degree-`degree` form on `grid`, holding
+    every component of its degree as a writable array."""
     base_grid = grid.base_grid()
-    out_degree = max(w.degree - d, 0)
-    # every component of the base degree is present, zero or not
-    out = {key: np.zeros(base_grid.sizes, dtype=complex)
-           for key in form_components(base_grid.dim, out_degree)}
-    vol = grid.volume(fiber)
+    out_degree = max(degree - len(grid.fiber_axes), 0)
+    return FormField(base_grid, SCALAR, out_degree,
+                     {key: np.zeros(base_grid.sizes, dtype=complex)
+                      for key in form_components(base_grid.dim, out_degree)})
+
+
+def _add_fiber_means(w: FormField, out: dict, rows: slice) -> None:
+    """Add each component of w with every fiber index, averaged over the fiber
+    and times its volume, to the points `rows` of axis 0 of out[base block]."""
+    fiber = w.grid.fiber_axes
+    d = len(fiber)
+    vol = w.grid.volume(fiber)
     for key, arr in w.comps.items():
         if w.fiber_count(key) != d:
             continue
         # base axes keep their indices (base axes lead the product grid)
-        base_part = key[:len(key) - d]
-        out[base_part] = out[base_part] + np.mean(arr, axis=fiber) * vol
-    return FormField(base_grid, SCALAR, out_degree, out)
+        out[key[:len(key) - d]][rows] += np.mean(arr, axis=fiber) * vol
+
+
+# Bytes of one connection component on the rows of a slab.  At 256 KB the
+# (32,32,4,32,4) U(1) grid streams one row at a time, while the 4^6 SU(2) grid
+# and the (8,8,16,16) scene grid are a single slab each and pay no per-slab
+# Python overhead.
+_SLAB_BYTES = 1 << 18
+
+
+def _slab_rows(grid: Grid, group: str) -> int:
+    """Points of base axis 0 per slab for a connection on `grid`."""
+    row = np.dtype(complex).itemsize * int(np.prod(grid.sizes[1:] + value_shape(group)))
+    return max(1, _SLAB_BYTES // row)
+
+
+def _fiber_integral(grid: Grid, group: str, blocks, density, degree: int) -> FormField:
+    """Fiber integral of the degree-`degree` scalar form density(triple),
+    streamed over slabs of base axis 0; `blocks(rows)` is the curvature
+    triple on the points `rows`.
+
+    The fiber integral at a base point needs the curvature only there, and
+    the curvature there needs the connection only at that point and its
+    neighbours.  So each slab's curvature, density and fiber mean are made
+    and dropped in turn, and peak memory is about one slab above the input.
+    Each point sees fiber_integrate's arithmetic on the same values, so the
+    result is bit for bit that of the whole grid.
+    """
+    out = _zero_base_form(grid, degree)
+    n0, step = grid.sizes[0], _slab_rows(grid, group)
+    for s0 in range(0, n0, step):
+        rows = slice(s0, min(s0 + step, n0))
+        _add_fiber_means(density(blocks(rows)), out.comps, rows)
+    return out
 
 
 def closedness_residual(w: FormField) -> float:
@@ -209,34 +255,49 @@ class CaloronClassReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _resolve_triple(data) -> tuple:
-    """Accept a ProductConnection or an (A, Phi) pair; return (triple, grid, group)."""
+def _curvature_slabs(data) -> tuple:
+    """Accept a ProductConnection, a CurvatureTriple or an (A, Phi) pair;
+    return (grid, group, blocks), where blocks(rows) is the curvature triple on
+    the points `rows` of base axis 0."""
     if isinstance(data, ProductConnection):
-        triple = curvature_split(data)
-        return triple, data.grid, data.group
+        return data.grid, data.group, lambda rows: curvature_split(data, rows)
     if isinstance(data, CurvatureTriple):
-        g = data.F_A.grid
-        return data, g, data.F_A.group
+        grid = data.F_A.grid
+
+        def triple_rows(rows):
+            return CurvatureTriple(*(
+                FormField(grid.slab(rows), F.group, F.degree,
+                          {key: arr[rows] for key, arr in F.comps.items()})
+                for F in (data.F_A, data.F_Phi, data.NablaPhi)))
+
+        return grid, data.F_A.group, triple_rows
     a, phi = data
     if not isinstance(a, GaugeGroupConnection) or not isinstance(phi, HiggsFieldMap):
         raise ShapeError("expected a ProductConnection or a (GaugeGroupConnection, "
                          "HiggsFieldMap) pair")
     w = inverse_transform(a, phi)
-    triple = curvature_split(w)
-    # the definition-sum path is the canonical mixed block for pair input
-    triple = CurvatureTriple(triple.F_A, triple.F_Phi, nabla_phi(a, phi))
-    return triple, w.grid, w.group
+
+    def pair_rows(rows):
+        triple = curvature_split(w, rows)
+        # the definition-sum path is the canonical mixed block for pair input
+        return CurvatureTriple(triple.F_A, triple.F_Phi, nabla_phi(a, phi, rows))
+
+    return w.grid, w.group, pair_rows
 
 
 def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = None,
                   symbolic_path: bool = False) -> CaloronClassReport:
     """Fiber-integrated bidegree-(2k-d, d) part of f applied to the total curvature.
 
+    `data` is a ProductConnection, an (A, Phi) pair or a CurvatureTriple.
     `cycles` is a list of (name, axes-of-the-base, basepoint) entries; pairings
     are reported for each.  With symbolic_path=True the exact integrand words
-    are evaluated term by term instead of filtering numerically.
+    are evaluated term by term instead of filtering numerically.  The
+    curvature, the integrand and its fiber mean are computed one slab of base
+    axis 0 at a time, so no whole product-grid form is held; the class form
+    is bit for bit that of the whole-grid computation.
     """
-    triple, grid, group = _resolve_triple(data)
+    grid, group, blocks = _curvature_slabs(data)
     d = len(grid.fiber_axes)
     if (r + d) % 2 != 0:
         raise ParityError(f"class degree r={r} and fiber dimension d={d} "
@@ -249,20 +310,23 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
     overflow = 2 * k > grid.dim
 
     if symbolic_path:
-        gen_map = {symbolic.FA: triple.F_A, symbolic.FPHI: triple.F_Phi,
-                   symbolic.NABLA: triple.NablaPhi}
         integrand = symbolic.caloron_integrand(d, k)
-        total_form = None
-        for word, coeff in integrand.terms.items():
-            val = eval_invariant(f, [gen_map[g] for g in word], fiber=d)
-            term = float(coeff) * val
-            total_form = term if total_form is None else total_form + term
-        w2k = total_form if total_form is not None \
-            else FormField.zero(grid, SCALAR, 2 * k)
-    else:
-        w2k = eval_invariant(f, [triple.total()] * k, fiber=d)
 
-    class_form = fiber_integrate(w2k)
+        def density(triple):
+            gen_map = {symbolic.FA: triple.F_A, symbolic.FPHI: triple.F_Phi,
+                       symbolic.NABLA: triple.NablaPhi}
+            total_form = None
+            for word, coeff in integrand.terms.items():
+                val = eval_invariant(f, [gen_map[g] for g in word], fiber=d)
+                term = float(coeff) * val
+                total_form = term if total_form is None else total_form + term
+            return total_form if total_form is not None \
+                else FormField.zero(triple.F_A.grid, SCALAR, 2 * k)
+    else:
+        def density(triple):
+            return eval_invariant(f, [triple.total()] * k, fiber=d)
+
+    class_form = _fiber_integral(grid, group, blocks, density, 2 * k)
     residual = closedness_residual(class_form)
     pairings = []
     for name, axes, basepoint in (cycles or []):
@@ -277,15 +341,19 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
 
 def string_class(data, f: InvariantPolynomial, k: int,
                  cycles: list | None = None) -> CaloronClassReport:
-    """k * f(F_A^{k-1} NablaPhi) fiber-integrated over a circle fiber."""
-    triple, grid, group = _resolve_triple(data)
+    """k * f(F_A^{k-1} NablaPhi) fiber-integrated over a circle fiber,
+    streamed over slabs of base axis 0 as caloron_class is."""
+    grid, group, blocks = _curvature_slabs(data)
     if len(grid.fiber_axes) != 1:
         raise DomainError("string classes need a 1-dimensional fiber")
     if f.degree != k:
         raise ArityError(f"polynomial degree {f.degree} != k={k}")
-    args = [triple.F_A] * (k - 1) + [triple.NablaPhi]
-    w2k = eval_invariant(f, args, fiber=1)
-    class_form = fiber_integrate(float(k) * w2k)
+
+    def density(triple):
+        args = [triple.F_A] * (k - 1) + [triple.NablaPhi]
+        return float(k) * eval_invariant(f, args, fiber=1)
+
+    class_form = _fiber_integral(grid, group, blocks, density, 2 * k)
     pairings = []
     for name, axes, basepoint in (cycles or []):
         pairings.append((name, pair_with_cycle(class_form, axes, basepoint)))

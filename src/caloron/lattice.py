@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, product
@@ -97,6 +98,21 @@ class Grid:
             lengths=tuple(self.lengths[a] for a in b),
             base_axes=tuple(range(len(b))),
         )
+
+    def slab(self, rows: slice) -> "Grid":
+        """The grid of the points `rows` of axis 0, the other axes whole.
+
+        The lengths stay those of the whole torus, so every spacing but axis
+        0's, the fiber volume and the twist background read the same as on the
+        whole grid; take axis 0's spacing from the whole grid.  A slab may be
+        thinner than any grid, so the size check is not applied to it.
+        """
+        count = len(range(self.sizes[0])[rows])
+        if count == self.sizes[0]:
+            return self
+        slab = copy.copy(self)
+        object.__setattr__(slab, "sizes", (count,) + self.sizes[1:])
+        return slab
 
     def refine(self, factor: int = 2) -> "Grid":
         return replace(self, sizes=tuple(n * factor for n in self.sizes))

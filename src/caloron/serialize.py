@@ -49,8 +49,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str):
+    """A real-number field of a document: a string or bool there would be
+    parsed or read as 0/1 by float(), so it is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _decode_array(data, group: str) -> np.ndarray:
-    raw = np.asarray(data, dtype=float)
+    raw = np.asarray(data)
+    # dtype=float would parse strings and read bools as 0/1
+    if raw.dtype.kind not in "iuf":
+        raise ConfigError(f"array entries must be numbers, got dtype {raw.dtype}")
+    raw = raw.astype(float, copy=False)
     if raw.ndim < 1 or raw.shape[-1] != 2:
         raise ConfigError(f"array entries must be [re, im] pairs, got shape {raw.shape}")
     cplx = raw[..., 0] + 1j * raw[..., 1]
@@ -71,7 +83,7 @@ def grid_to_doc(grid: Grid) -> dict:
 @_decoder
 def grid_from_doc(doc: dict) -> Grid:
     return Grid(sizes=tuple(_integer(n, "grid size") for n in doc["sizes"]),
-                lengths=tuple(doc["lengths"]),
+                lengths=tuple(_number(x, "grid length") for x in doc["lengths"]),
                 base_axes=tuple(_integer(a, "base axis") for a in doc.get("base_axes", ())))
 
 

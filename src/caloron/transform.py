@@ -11,6 +11,7 @@ differenced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -21,9 +22,7 @@ from .lattice import (
     FormField,
     Grid,
     LinkField,
-    bracket,
     central_difference,
-    ext_deriv,
     group_inverse,
     value_shape,
 )
@@ -188,14 +187,38 @@ def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
         (ax, ay): np.full(grid.sizes, -1j * TWO_PI * twist / area, dtype=complex)})
 
 
-def curvature_split(w: ProductConnection) -> CurvatureTriple:
-    """F = dA + 1/2 [A, A] + twist background, partitioned by bidegree; the
-    blocks share F's arrays."""
-    A = w.one_form()
-    F = ext_deriv(A)
-    if w.group != U1:
-        F = F + 0.5 * bracket(A, A)
-    F = F + background_curvature(w.grid, w.group, w.twist)
+def _row_difference(arr: np.ndarray, axis: int, spacing: float, rows: slice) -> np.ndarray:
+    """central_difference(arr, axis, spacing)[rows], computed on those rows of
+    axis 0 only.  Along axis 0 it reads the rows either side, wrapping
+    periodically, which gives np.roll's values bit for bit."""
+    if axis:
+        return central_difference(arr[rows], axis, spacing)
+    n = arr.shape[0]
+    idx = np.arange(n)[rows]
+    return (np.take(arr, (idx + 1) % n, 0) - np.take(arr, (idx - 1) % n, 0)) / (2.0 * spacing)
+
+
+def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> CurvatureTriple:
+    """F = dA + 1/2 [A, A] + twist background on the points `rows` of axis 0
+    (all of them by default), partitioned by bidegree; the blocks share F's
+    arrays and live on `w.grid.slab(rows)`.
+
+    F_ij = d_i A_j - d_j A_i + (A_i A_j - A_j A_i): the two terms of the graded
+    bracket [A, A]_ij are equal bit for bit (IEEE subtraction is sign
+    symmetric), so half their sum is the single commutator.
+    """
+    grid, group = w.grid, w.group
+    h = grid.spacings
+    F = {}
+    for i, j in combinations(range(grid.dim), 2):
+        Fij = _row_difference(w.comps[j], i, h[i], rows) \
+            - _row_difference(w.comps[i], j, h[j], rows)
+        if group != U1:
+            Ai, Aj = w.comps[i][rows], w.comps[j][rows]
+            Fij = Fij + (Ai @ Aj - Aj @ Ai)
+        F[(i, j)] = Fij
+    slab = grid.slab(rows)
+    F = FormField(slab, group, 2, F) + background_curvature(slab, group, w.twist)
     return CurvatureTriple(
         F_A=F.bidegree_part(2, 0),
         F_Phi=F.bidegree_part(0, 2),
@@ -203,9 +226,11 @@ def curvature_split(w: ProductConnection) -> CurvatureTriple:
     )
 
 
-def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
+def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap,
+              rows: slice = slice(None)) -> FormField:
     """Mixed curvature from the definition sum: base derivative of Phi, bracket
-    [A, Phi], fiber derivative of A, plus the twist background's mixed part.
+    [A, Phi], fiber derivative of A, plus the twist background's mixed part,
+    on the points `rows` of axis 0 (all of them by default).
 
     This is the canonical output; curvature_split provides the independent
     cross-check path.
@@ -217,14 +242,15 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
     out = {}
     for mu in grid.base_axes:
         for nu in grid.fiber_axes:
-            val = central_difference(phi.comps[nu], mu, h[mu]) \
-                - central_difference(a.comps[mu], nu, h[nu])
+            val = _row_difference(phi.comps[nu], mu, h[mu], rows) \
+                - _row_difference(a.comps[mu], nu, h[nu], rows)
             if group != U1:
-                Am, Pn = a.comps[mu], phi.comps[nu]
+                Am, Pn = a.comps[mu][rows], phi.comps[nu][rows]
                 val = val + (Am @ Pn - Pn @ Am)
             out[(mu, nu)] = val
-    field_ = FormField(grid, group, 2, out)
-    bg = background_curvature(grid, group, phi.twist).bidegree_part(1, 1)
+    slab = grid.slab(rows)
+    field_ = FormField(slab, group, 2, out)
+    bg = background_curvature(slab, group, phi.twist).bidegree_part(1, 1)
     return field_ + bg
 
 

@@ -1,8 +1,10 @@
 """Invariant-polynomial evaluation, fiber integration and class computations."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from caloron import lattice as lat
+from caloron import chernweil, lattice as lat, symbolic as sym
 from caloron.chernweil import (
     CaloronClassReport,
     InvariantPolynomial,
@@ -16,7 +18,14 @@ from caloron.chernweil import (
 )
 from caloron.errors import ArityError, DegreeError, DomainError, ParityError
 from caloron.lattice import SCALAR, SU2, U1, FormField, Grid
-from caloron.transform import ProductConnection, forward_transform
+from caloron.transform import (
+    CurvatureTriple,
+    ProductConnection,
+    background_curvature,
+    curvature_split,
+    forward_transform,
+    inverse_transform,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -254,3 +263,160 @@ def test_report_fields():
     assert (rep.r, rep.d, rep.k) == (0, 2, 1)
     assert rep.metadata["group"] == U1
     assert rep.degree_overflow is False
+
+
+# ---------------------------------------------------------------------------
+# streaming over slabs of base axis 0 against the whole-grid oracle
+
+
+def _nabla_phi_oracle(a, phi):
+    """The pair's mixed block by whole-grid central differences."""
+    h = a.grid.spacings
+    out = {}
+    for mu in a.grid.base_axes:
+        for nu in a.grid.fiber_axes:
+            val = lat.central_difference(phi.comps[nu], mu, h[mu]) \
+                - lat.central_difference(a.comps[mu], nu, h[nu])
+            if a.group != U1:
+                val = val + (a.comps[mu] @ phi.comps[nu] - phi.comps[nu] @ a.comps[mu])
+            out[(mu, nu)] = val
+    bg = background_curvature(a.grid, a.group, phi.twist).bidegree_part(1, 1)
+    return FormField(a.grid, a.group, 2, out) + bg
+
+
+def _whole_grid_triple(data):
+    """The curvature triple on the whole product grid: ext_deriv, half the
+    graded bracket [A, A] and the twist background."""
+    if isinstance(data, CurvatureTriple):
+        return data
+    w = data if isinstance(data, ProductConnection) else inverse_transform(*data)
+    A = w.one_form()
+    F = lat.ext_deriv(A)
+    if w.group != U1:
+        F = F + 0.5 * lat.bracket(A, A)
+    F = F + background_curvature(w.grid, w.group, w.twist)
+    nabla = F.bidegree_part(1, 1) if isinstance(data, ProductConnection) \
+        else _nabla_phi_oracle(*data)
+    return CurvatureTriple(F.bidegree_part(2, 0), F.bidegree_part(0, 2), nabla)
+
+
+def _whole_grid_class(data, f, route, r):
+    """The class form from whole-grid forms: the curvature triple, then
+    eval_invariant, then fiber_integrate.  For route "string", r is k."""
+    t = _whole_grid_triple(data)
+    d = len(t.F_A.grid.fiber_axes)
+    if route == "string":
+        args = [t.F_A] * (r - 1) + [t.NablaPhi]
+        return fiber_integrate(float(r) * eval_invariant(f, args, fiber=1))
+    k = (d + r) // 2
+    if route == "numeric":
+        return fiber_integrate(eval_invariant(f, [t.total()] * k, fiber=d))
+    gen = {sym.FA: t.F_A, sym.FPHI: t.F_Phi, sym.NABLA: t.NablaPhi}
+    w2k = None
+    for word, coeff in sym.caloron_integrand(d, k).terms.items():
+        term = float(coeff) * eval_invariant(f, [gen[g] for g in word], fiber=d)
+        w2k = term if w2k is None else w2k + term
+    return fiber_integrate(w2k)
+
+
+def _u1_5d():
+    g = Grid(sizes=(8, 8, 4, 8, 4), base_axes=(0, 1, 2))
+    A = lat.sample("u1_harmonic", g, U1, {"max_mode": 1}, seed=31)
+    return ProductConnection.from_one_form(A, twist=1)
+
+
+def _u1_2d():
+    # base (0,) and fiber (1,): the twist plane (0, 1) contains axis 0
+    g = Grid(sizes=(10, 8), base_axes=(0,))
+    A = lat.sample("u1_harmonic", g, U1, {"max_mode": 2}, seed=32)
+    return ProductConnection.from_one_form(A, twist=2)
+
+
+def _su2_4d():
+    g = Grid(sizes=(5, 4, 4, 4), base_axes=(0, 1))
+    return ProductConnection.from_one_form(_su2_one_form(g, 33))
+
+
+def _su2_circle():
+    g = Grid(sizes=(5, 4, 4, 6), base_axes=(0, 1, 2))
+    return ProductConnection.from_one_form(_su2_one_form(g, 34))
+
+
+# name: (connection, input form, route, r (k for "string"), polynomial degree)
+_STREAM_CASES = {
+    "u1-5d-twist": (_u1_5d, "connection", "numeric", 2, 2),
+    "u1-5d-twist-pair": (_u1_5d, "pair", "symbolic", 2, 2),
+    "u1-2d-twist": (_u1_2d, "connection", "numeric", 1, 1),
+    "u1-2d-twist-pair": (_u1_2d, "pair", "numeric", 1, 1),
+    "su2-numeric": (_su2_4d, "connection", "numeric", 2, 2),
+    "su2-symbolic": (_su2_4d, "connection", "symbolic", 2, 2),
+    "su2-pair": (_su2_4d, "pair", "numeric", 2, 2),
+    "su2-triple": (_su2_4d, "triple", "symbolic", 2, 2),
+    "string": (_su2_circle, "connection", "string", 2, 2),
+    "string-pair": (_su2_circle, "pair", "string", 2, 2),
+    "overflow": (_u1_2d, "connection", "numeric", 3, 2),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_streamed_class_matches_whole_grid_oracle(monkeypatch, case, rows):
+    """Every class form component is bit for bit the whole-grid one, at 1, 2
+    and 3 rows per slab (3 divides none of the first-axis sizes)."""
+    make, form, route, r, degree = _STREAM_CASES[case]
+    w = make()
+    data = {"connection": w, "pair": forward_transform(w),
+            "triple": curvature_split(w)}[form]
+    f = InvariantPolynomial(degree)
+    want = _whole_grid_class(data, f, route, r)
+
+    row_bytes = w.comps[0][0].nbytes
+    monkeypatch.setattr(chernweil, "_SLAB_BYTES", rows * row_bytes + row_bytes // 2)
+    assert chernweil._slab_rows(w.grid, w.group) == rows
+    slab_sizes = []
+    traced = chernweil.eval_invariant
+
+    def eval_invariant_spy(f, args, fiber=None):
+        slab_sizes.append(args[0].grid.sizes[0])
+        return traced(f, args, fiber)
+
+    monkeypatch.setattr(chernweil, "eval_invariant", eval_invariant_spy)
+    if route == "string":
+        got = string_class(data, f, r).class_form
+    else:
+        got = caloron_class(data, f, r, symbolic_path=route == "symbolic").class_form
+
+    assert (got.grid, got.group, got.degree) == (want.grid, want.group, want.degree)
+    assert set(got.comps) == set(want.comps)
+    for key, arr in want.comps.items():
+        assert got.comps[key].tobytes() == arr.tobytes(), key
+    assert max(slab_sizes) == rows
+
+
+def test_benchmark_grids_slab_sizes():
+    """The 4^6 SU(2) grid and the (8,8,16,16) U(1) scene grid are one slab
+    each; the (32,32,4,32,4) U(1) grid streams one row at a time."""
+    assert chernweil._slab_rows(Grid(sizes=(4,) * 6, base_axes=(0, 1, 2, 3)), SU2) >= 4
+    assert chernweil._slab_rows(Grid(sizes=(8, 8, 16, 16), base_axes=(0, 1)), U1) >= 8
+    assert chernweil._slab_rows(Grid(sizes=(32, 32, 4, 32, 4), base_axes=(0, 1, 2)),
+                                U1) == 1
+
+
+def test_streamed_class_memory_is_one_slab(monkeypatch):
+    """With one row per slab, the memory numpy allocates for a class stays
+    under half the connection's bytes; whole-grid forms take about 3x."""
+    g = Grid(sizes=(16, 16, 4, 16, 4), base_axes=(0, 1, 2))
+    rng = np.random.default_rng(35)
+    w = ProductConnection(g, U1, {a: 1j * rng.standard_normal(g.sizes)
+                                  for a in range(g.dim)}, twist=1)
+    input_bytes = sum(arr.nbytes for arr in w.comps.values())
+    monkeypatch.setattr(chernweil, "_SLAB_BYTES", 1)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        caloron_class(w, InvariantPolynomial(2), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.5 * input_bytes

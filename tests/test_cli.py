@@ -276,6 +276,33 @@ def test_selftest_green_and_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scene,want", [
+    (None, "0936ada7bb3d1c21ada3268737916d05caaa881b3d064e85772fdbd67aecd2ad"),
+    ("base.sizes = 8,8\nfiber.sizes = 16,16\ngroup = u1\nfamily = u1_harmonic\n"
+     "family.max_mode = 2\nseed = 5\ntwist = 2\nclasses = 0,2\n",
+     "d04f2e2dc818eb02d07d4c024c0c554cd99d452ddd278630dfab456c2c61bf87"),
+    ("base.sizes = 4,4\nfiber.sizes = 8,8\ngroup = su2\nfamily = su2_band_limited\n"
+     "family.max_mode = 1\nseed = 3\nclasses = 0,2\n",
+     "3fea59029327449ac4d162dae807baf9f9e00edcc1c23db25aba576e75fedbab"),
+    ("base.sizes = 6,6,6\nfiber.sizes = 6\ngroup = su2\nfamily = su2_band_limited\n"
+     "family.max_mode = 1\nseed = 4\nclasses = 1,3\n",
+     "56f9c1fa0d7bd2b82f3cae3f99fe7a2a87a10513f6909ad5a216f797cddaa05f"),
+])
+def test_report_hash_pinned(tmp_path, capsys, scene, want):
+    """Reports of fixed runs keep their bits: `selftest --seed 7` (scene None)
+    and three `classes` scenes."""
+    rep = tmp_path / "r.json"
+    if scene is None:
+        argv = ["selftest", "--seed", "7"]
+    else:
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(scene)
+        argv = ["classes", "--config", str(cfg)]
+    assert main(argv + ["--report", str(rep)]) == EXIT_OK
+    assert json.loads(rep.read_text())["report_hash"] == want
+    capsys.readouterr()
+
+
 def test_classes_max_mode_bound_exit_code(tmp_path, capsys):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text("base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\n"
@@ -301,6 +328,9 @@ def _zero_connection_doc() -> dict:
     (("grid", "sizes"), [4.9, 4, 4]),
     (("grid", "sizes"), [4, "4", 4]),
     (("grid", "base_axes"), [0.0]),
+    (("grid", "lengths"), ["6.5", 6.5, 6.5]),
+    (("components", "1", 0, 0, 0), ["0.25", 0.0]),
+    (("components", "1"), [[[[True, False]] * 4] * 4] * 4),
 ])
 def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     doc = _zero_connection_doc()

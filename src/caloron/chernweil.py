@@ -7,6 +7,7 @@ of the exact symbolic integrand.  Both must agree; tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import pi
 
@@ -23,6 +24,7 @@ from .lattice import (
     ext_deriv,
     form_components,
     shuffle_sign,
+    trace2,
     value_shape,
 )
 from .transform import (
@@ -118,7 +120,7 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
                 prod = vals[0]
                 for val in vals[1:]:
                     prod = prod * val if abelian else prod @ val
-                term = prod if abelian else np.trace(prod, axis1=-2, axis2=-1)
+                term = prod if abelian else trace2(prod)
                 term = (sign * weight) * term
                 acc = term if acc is None else acc + term
         if acc is not None:
@@ -126,9 +128,11 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     return FormField(grid, SCALAR, total_degree, out)
 
 
-def _ordered_splits(key: tuple, degrees: tuple):
+@lru_cache(maxsize=None)
+def _ordered_splits(key: tuple, degrees: tuple) -> tuple:
     """All ways to split the sorted index tuple `key` into ordered blocks of the
-    given sizes, with the Koszul sign of the unshuffle."""
+    given sizes, with the Koszul sign of the unshuffle.  Cached, since every
+    slab asks again for the same keys; a tuple, so no caller can alter it."""
     results = []
 
     def rec(remaining: tuple, i: int, blocks: tuple, sign: int):
@@ -141,7 +145,7 @@ def _ordered_splits(key: tuple, degrees: tuple):
             rec(rest, i + 1, blocks + (I,), sign * s)
 
     rec(key, 0, (), 1)
-    return results
+    return tuple(results)
 
 
 def chern_weil_form(f: InvariantPolynomial, F: FormField) -> FormField:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -58,17 +59,33 @@ def _number(value, what: str):
 
 
 def _decode_array(data, group: str) -> np.ndarray:
-    raw = np.asarray(data)
-    # dtype=float would parse strings and read bools as 0/1
-    if raw.dtype.kind not in "iuf":
-        raise ConfigError(f"array entries must be numbers, got dtype {raw.dtype}")
-    raw = raw.astype(float, copy=False)
+    raw = _number_array(data)
     if raw.ndim < 1 or raw.shape[-1] != 2:
         raise ConfigError(f"array entries must be [re, im] pairs, got shape {raw.shape}")
     cplx = raw[..., 0] + 1j * raw[..., 1]
     if group in (U1, "scalar"):
         return cplx
     return cplx.reshape(cplx.shape[:-1] + (2, 2))
+
+
+def _number_array(data) -> np.ndarray:
+    """A regular nested list of JSON numbers as a float64 array.
+
+    It is flattened level by level rather than read by np.asarray, which takes
+    a bool among numbers as 1/0 and, asked for floats, parses strings.
+    """
+    shape, entries = [], [data]
+    while entries and type(entries[0]) is list:
+        lengths = set(map(len, entries))
+        if len(lengths) != 1:
+            raise ConfigError(f"array is ragged: lists of lengths {sorted(lengths)}")
+        shape.append(lengths.pop())
+        entries = list(chain.from_iterable(entries))
+    kinds = set(map(type, entries)) - {int, float}
+    if kinds:
+        raise ConfigError("array entries must be numbers, got "
+                          + ", ".join(sorted(t.__name__ for t in kinds)))
+    return np.array(entries, dtype=float).reshape(shape)
 
 
 def grid_to_doc(grid: Grid) -> dict:

@@ -1,5 +1,7 @@
 """Invariant-polynomial evaluation, fiber integration and class computations."""
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,3 +422,81 @@ def test_streamed_class_memory_is_one_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - base < 0.5 * input_bytes
+
+
+def _np_trace(X):
+    """The trace oracle: numpy's reduction over the strided diagonal."""
+    return np.trace(X, axis1=-2, axis2=-1)
+
+
+# name: (connection, input form, route)
+_SU2_TRACE_CASES = {
+    "numeric": (_su2_4d, "connection", "numeric"),
+    "symbolic": (_su2_4d, "connection", "symbolic"),
+    "pair": (_su2_4d, "pair", "numeric"),
+    "triple": (_su2_4d, "triple", "symbolic"),
+    "string": (_su2_circle, "connection", "string"),
+    "string-pair": (_su2_circle, "pair", "string"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SU2_TRACE_CASES))
+def test_su2_class_forms_match_np_trace_oracle(monkeypatch, case):
+    """SU(2) class forms are bit for bit those eval_invariant gives when its
+    traces are taken by np.trace."""
+    make, form, route = _SU2_TRACE_CASES[case]
+    w = make()
+    data = {"connection": w, "pair": forward_transform(w),
+            "triple": curvature_split(w)}[form]
+    f = InvariantPolynomial(2)
+
+    def class_form():
+        if route == "string":
+            return string_class(data, f, 2).class_form
+        return caloron_class(data, f, 2, symbolic_path=route == "symbolic").class_form
+
+    got = class_form()
+    monkeypatch.setattr(chernweil, "trace2", _np_trace)
+    want = class_form()
+    assert set(got.comps) == set(want.comps)
+    for key, arr in want.comps.items():
+        assert got.comps[key].tobytes() == arr.tobytes(), key
+
+
+def test_library_calls_no_np_trace(monkeypatch):
+    """No caloron module calls np.trace, and every SU(2) trace site runs with
+    numpy.trace made to raise."""
+    call = re.compile(r"\b(np|numpy)\.trace\(")
+    src = Path(chernweil.__file__).parent
+    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if call.search(line)]
+    assert hits == []
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("numpy.trace called")
+
+    monkeypatch.setattr(np, "trace", no_trace)
+    g = Grid(sizes=(4, 4, 4, 4))
+    rng = np.random.default_rng(36)
+    F = FormField(g, SU2, 2, {k: lat.su2_from_coords(rng.standard_normal(g.sizes + (3,)))
+                              for k in lat.form_components(4, 2)})
+    assert eval_invariant(InvariantPolynomial(2), [F, F]).comps
+    X = F.comps[(0, 1)]
+    assert lat.alg_violation(SU2, X) < 1e-14
+    lat.group_log(SU2, lat.group_exp(SU2, 0.1 * X))
+    g2 = Grid(sizes=(4, 4))
+    u = lat.LinkField(g2, SU2, {a: lat.group_exp(SU2, 0.1 * X[..., 0, 0, :, :])
+                                for a in range(2)})
+    assert abs(lat.total_flux(u)) < 1e-12
+
+
+def test_ordered_splits_are_cached_tuples():
+    """The splits of a key are computed once and handed out as one tuple."""
+    splits = chernweil._ordered_splits((0, 1, 2, 3), (2, 2))
+    assert isinstance(splits, tuple)
+    assert chernweil._ordered_splits((0, 1, 2, 3), (2, 2)) is splits
+    assert [blocks for blocks, _ in splits] == [
+        ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
+        ((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))]
+    assert [sign for _, sign in splits] == [1, -1, 1, 1, -1, 1]

@@ -74,6 +74,27 @@ def test_form_doc_round_trip_and_key_validation():
         serialize.form_from_doc(doc)
 
 
+def _decode_array_oracle(data, group):
+    """numpy's nested-list conversion, which the decoder replaced."""
+    raw = np.asarray(data).astype(float)
+    cplx = raw[..., 0] + 1j * raw[..., 1]
+    return cplx if group == U1 else cplx.reshape(cplx.shape[:-1] + (2, 2))
+
+
+@pytest.mark.parametrize("group,shape", [(U1, (5, 2)), (U1, (3, 4, 2, 2)),
+                                         (SU2, (2, 3, 4, 2))])
+def test_decode_array_matches_numpy_conversion(group, shape):
+    """Ints, signed zeros, subnormals, infinities and nan decode to numpy's bits."""
+    values = np.array([0.0, -0.0, 1.5, -2.25e-300, 5e-324, 1.7e308, float("inf"),
+                       float("-inf"), float("nan"), 0, 7, -3, 2 ** 53 + 1], dtype=object)
+    data = json.loads(json.dumps(
+        np.random.default_rng(13).choice(values, size=shape).tolist()))
+    with np.errstate(invalid="ignore"):  # 1j * inf
+        got = serialize._decode_array(data, group)
+        want = _decode_array_oracle(data, group)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_save_document_bytes_match_json_dump(tmp_path):
     w = _connection(SU2, seed=6)
     doc = serialize.connection_to_doc(w)
@@ -331,6 +352,7 @@ def _zero_connection_doc() -> dict:
     (("grid", "lengths"), ["6.5", 6.5, 6.5]),
     (("components", "1", 0, 0, 0), ["0.25", 0.0]),
     (("components", "1"), [[[[True, False]] * 4] * 4] * 4),
+    (("components", "1", 0, 0, 0), [True, False]),
 ])
 def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     doc = _zero_connection_doc()

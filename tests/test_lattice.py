@@ -69,6 +69,29 @@ def test_group_log_guard_band():
         lat.group_log(U1, U)
 
 
+_TRACE_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64])
+@pytest.mark.parametrize("shape", [(2, 2), (729, 2, 2), (2, 3, 1, 3, 2, 3, 2, 2)])
+def test_trace2_matches_np_trace_bit_for_bit(dtype, shape):
+    """Signed zeros, infinities, nan, the smallest subnormal and near-overflow
+    entries: trace2 gives np.trace's bytes, dtype and shape.  X00 + X11 alone
+    fails every case: the first matrix is all -0.0, and -0.0 + -0.0 keeps the
+    sign that np.trace's zero start drops."""
+    rng = np.random.default_rng(12)
+    X = np.empty(shape, dtype=dtype)
+    with np.errstate(all="ignore"):  # 1e308 overflows single precision
+        X.real = rng.choice(_TRACE_ENTRIES, size=shape)
+        if X.dtype.kind == "c":
+            X.imag = rng.choice(_TRACE_ENTRIES, size=shape)
+        X.reshape(-1, 2, 2)[0] = -0.0
+        want = np.trace(X, axis1=-2, axis2=-1)
+        got = lat.trace2(X)
+    assert (got.dtype, np.shape(got)) == (want.dtype, np.shape(want))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_central_difference_harmonic():
     # [DERIVED] analytic oracle with O(h^2) error decay
     errs = []

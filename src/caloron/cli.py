@@ -60,6 +60,14 @@ def cmd_expand(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    # The parsed document stays alive from parse to write, so the collector
+    # is off for the whole command rather than per codec call.  It resumes
+    # only after _transform has returned and so dropped the documents.
+    with serialize.collector_paused():
+        return _transform(args)
+
+
+def _transform(args) -> int:
     try:
         doc = serialize.load_document(args.input)
     except OSError as exc:
@@ -281,6 +289,17 @@ def cmd_selftest(args) -> int:
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="caloron",
                                 description="caloron correspondence toolkit")
@@ -314,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     pu = sub.add_parser("universal", help="run the universal-connection property suite")
     pu.add_argument("--graph", default="ring:8")
     pu.add_argument("--group", default=U1)
-    pu.add_argument("--seed", type=int, default=0)
+    pu.add_argument("--seed", type=_seed, default=0)
     pu.add_argument("--report", default=None)
     pu.set_defaults(func=cmd_universal)
 
     ps = sub.add_parser("selftest", help="run the condensed acceptance battery")
-    ps.add_argument("--seed", type=int, default=7)
+    ps.add_argument("--seed", type=_seed, default=7)
     ps.add_argument("--report", default=None)
     ps.set_defaults(func=cmd_selftest)
 

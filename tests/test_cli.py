@@ -1,12 +1,17 @@
 """CLI, serialization and scene-config tests: exit codes, round trips, determinism."""
+import argparse
+import gc
+import hashlib
 import json
+import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from caloron import lattice as lat, serialize
-from caloron.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from caloron.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform, main
 from caloron.errors import ConfigError, ShapeError
 from caloron.lattice import SCALAR, SU2, U1, FormField, Grid, LinkField
 from caloron.scene import SceneConfig, parse_config_text, report_hash
@@ -75,24 +80,39 @@ def test_form_doc_round_trip_and_key_validation():
 
 
 def _decode_array_oracle(data, group):
-    """numpy's nested-list conversion, which the decoder replaced."""
+    """The complex array whose parts are the [re, im] pairs' exact bits."""
     raw = np.asarray(data).astype(float)
-    cplx = raw[..., 0] + 1j * raw[..., 1]
+    cplx = np.empty(raw.shape[:-1], complex)
+    cplx.real, cplx.imag = raw[..., 0], raw[..., 1]
     return cplx if group == U1 else cplx.reshape(cplx.shape[:-1] + (2, 2))
 
 
 @pytest.mark.parametrize("group,shape", [(U1, (5, 2)), (U1, (3, 4, 2, 2)),
                                          (SU2, (2, 3, 4, 2))])
 def test_decode_array_matches_numpy_conversion(group, shape):
-    """Ints, signed zeros, subnormals, infinities and nan decode to numpy's bits."""
+    """Ints, signed zeros, subnormals, infinities and nan decode to the exact
+    bits of their [re, im] pairs."""
     values = np.array([0.0, -0.0, 1.5, -2.25e-300, 5e-324, 1.7e308, float("inf"),
                        float("-inf"), float("nan"), 0, 7, -3, 2 ** 53 + 1], dtype=object)
     data = json.loads(json.dumps(
         np.random.default_rng(13).choice(values, size=shape).tolist()))
-    with np.errstate(invalid="ignore"):  # 1j * inf
-        got = serialize._decode_array(data, group)
-        want = _decode_array_oracle(data, group)
+    got = serialize._decode_array(data, group)
+    want = _decode_array_oracle(data, group)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("group,shape", [(U1, (3, 4)), (SU2, (3, 2, 2))])
+def test_encode_decode_keeps_special_values_bit_exact(group, shape):
+    """-0.0, +-inf and nan in either part survive encode, JSON text and decode."""
+    specials = np.array([-0.0, float("inf"), float("-inf"), float("nan"), 0.0, 1.5])
+    rng = np.random.default_rng(17)
+    arr = np.empty(shape, complex)
+    arr.real, arr.imag = rng.choice(specials, size=shape), rng.choice(specials, size=shape)
+    arr.flat[0] = complex(1.0, -0.0)
+    arr.flat[1] = complex(0.0, float("inf"))
+    text = json.dumps(serialize._encode_array(arr, group))
+    back = serialize._decode_array(json.loads(text), group)
+    assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
 
 
 def test_save_document_bytes_match_json_dump(tmp_path):
@@ -207,6 +227,96 @@ def test_transform_missing_file_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case,want", [("exact", EXIT_OK), ("malformed", EXIT_VALIDATION),
+                                       ("missing", EXIT_IO)])
+def test_transform_pauses_and_restores_collector(tmp_path, capsys, monkeypatch, enabled,
+                                                 case, want):
+    """`transform` runs with the cyclic collector off and leaves it as the
+    caller had it, on success, a malformed document and a missing file."""
+    src = tmp_path / "w.json"
+    if case != "missing":
+        doc = _zero_connection_doc()
+        if case == "malformed":
+            doc["twist"] = "a"
+        src.write_text(json.dumps(doc))
+    seen = []
+    load = serialize.load_document
+    monkeypatch.setattr(serialize, "load_document",
+                        lambda path: seen.append(gc.isenabled()) or load(path))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(["transform", "--input", str(src), "--direction", "roundtrip"])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert (code, seen, after) == (want, [False], enabled)
+    capsys.readouterr()
+
+
+def test_transform_resumes_collector_after_dropping_documents(tmp_path, capsys,
+                                                             monkeypatch):
+    """The collector resumes only once the command's documents are freed, so
+    its first collection does not walk them."""
+    class Doc(dict):  # a dict that takes weak references
+        pass
+
+    refs, alive = [], []
+    load = serialize.load_document
+
+    def load_tracked(path):
+        doc = Doc(load(path))
+        refs.append(weakref.ref(doc))
+        return doc
+
+    def on_collect(phase, info):
+        if phase == "start" and refs:
+            alive.append(any(r() is not None for r in refs))
+
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(_zero_connection_doc()))
+    monkeypatch.setattr(serialize, "load_document", load_tracked)
+    was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(1)  # collect at the first allocation once resumed
+    gc.callbacks.append(on_collect)
+    try:
+        code = main(["transform", "--input", str(src), "--direction", "roundtrip"])
+    finally:
+        gc.callbacks.remove(on_collect)
+        gc.set_threshold(*threshold)
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == EXIT_OK and alive and not any(alive)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("group", [U1, SU2])
+def test_transform_leaves_no_cyclic_garbage(tmp_path, capsys, group):
+    """Pausing the collector loses nothing: with it off, the transform
+    commands leave no garbage that only the cycle collector could free."""
+    src, pair, back, bad = (tmp_path / n for n in ("w.json", "p.json", "b.json", "bad.json"))
+    doc = serialize.connection_to_doc(_connection(group, seed=3))
+    serialize.save_document(doc, str(src))
+    bad.write_text(json.dumps(dict(doc, twist="a")))
+    runs = [(src, "roundtrip", None, EXIT_OK), (src, "forward", pair, EXIT_OK),
+            (pair, "inverse", back, EXIT_OK), (pair, "roundtrip", None, EXIT_OK),
+            (bad, "forward", None, EXIT_VALIDATION)]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for path, direction, out, want in runs:
+            args = argparse.Namespace(input=str(path), direction=direction,
+                                      output=out and str(out))
+            assert cmd_transform(args) == want
+            assert gc.collect() == 0, direction
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
 def test_classes_twist_scene(tmp_path, capsys):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text("base.sizes = 4\nfiber.sizes = 16,16\ngroup = u1\n"
@@ -287,6 +397,47 @@ def test_universal_has_no_checks_option(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["universal", "selftest"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_exit_code(capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", seed])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+# sizes stay small; a large one fails the vertex cap before any edge is built
+_graph_sizes = st.integers(-4, 7).map(str) | st.sampled_from(
+    ["", "x", "0x4", "1e2", " 3", "+4", "99999999"]) | st.text(max_size=3)
+_graph_specs = st.one_of(
+    st.integers(-4, 12).map("ring:{}".format),
+    st.builds("torus:{}:{}".format, st.integers(-4, 7), st.integers(-4, 7)),
+    st.builds(lambda kind, sizes: ":".join([kind, *sizes]),
+              st.sampled_from(["ring", "torus", "path", "Ring", ""]) | st.text(max_size=4),
+              st.lists(_graph_sizes, max_size=3)))
+_seeds = st.one_of(st.integers(-3, 9), st.integers(0, 2 ** 70)).map(str) | st.text(max_size=4)
+
+
+_UNIVERSAL = {"graph": "torus:3:4", "group": SU2, "seed": "5"}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(_UNIVERSAL)), graph=_graph_specs,
+       group=st.sampled_from([U1, SU2, "u2", ""]) | st.text(max_size=3), seed=_seeds)
+def test_universal_fuzzed_arguments_never_crash(capsys, key, graph, group, seed):
+    """A valid `universal` call with its graph spec, group or seed replaced
+    ends with a documented exit code, never an exception; argparse reports a
+    bad seed as exit 2."""
+    args = dict(_UNIVERSAL, **{key: {"graph": graph, "group": group, "seed": seed}[key]})
+    try:
+        code = main(["universal"] + [f"--{k}={v}" for k, v in args.items()])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_selftest_green_and_deterministic(tmp_path, capsys):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["selftest", "--seed", "7", "--report", str(r1)]) == EXIT_OK
@@ -322,6 +473,31 @@ def test_report_hash_pinned(tmp_path, capsys, scene, want):
     assert main(argv + ["--report", str(rep)]) == EXIT_OK
     assert json.loads(rep.read_text())["report_hash"] == want
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("group,seed,want_pair,want_back", [
+    (U1, 11, "58913fe306b1ccacefcd5195781fd7744c56c30005aa275f0d89914be056083d",
+     "713ecbea5c6ab07bf82eee1a4bf1777ea63457b60ae773af8e315c65322ca7fb"),
+    (SU2, 12, "e39127dab942117ea42c4bb8269a1f43e572cb12bf86a09a3420f24bd24eb934",
+     "9d1fd5fad8131ce05a41faf788f1818e56016431e1d870d0fc8253b3d7c971ee"),
+])
+def test_transform_output_hash_pinned(tmp_path, group, seed, want_pair, want_back):
+    """The files `transform --direction forward` and `inverse` write for a
+    fixed connection keep their bytes."""
+    w = _connection(group, seed=seed, twist=2)
+    # `+ 0.0` keeps negative zeros out, so the bytes pin the finite-value path
+    w = ProductConnection(w.grid, w.group, {a: v + 0.0 for a, v in w.comps.items()},
+                          twist=w.twist)
+    src, pair, back = (tmp_path / n for n in ("w.json", "pair.json", "back.json"))
+    serialize.save_document(serialize.connection_to_doc(w), str(src))
+    assert main(["transform", "--input", str(src), "--direction", "forward",
+                 "--output", str(pair)]) == EXIT_OK
+    assert main(["transform", "--input", str(pair), "--direction", "inverse",
+                 "--output", str(back)]) == EXIT_OK
+    for path in (src, pair):
+        assert not re.search(r"-0\.0[,\]]|Infinity|NaN", path.read_text())
+    assert hashlib.sha256(pair.read_bytes()).hexdigest() == want_pair
+    assert hashlib.sha256(back.read_bytes()).hexdigest() == want_back
 
 
 def test_classes_max_mode_bound_exit_code(tmp_path, capsys):

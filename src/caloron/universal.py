@@ -3,11 +3,19 @@
 A connection is an algebra-valued field on the oriented edges of a finite
 connected graph; based gauge algebra elements are vertex fields vanishing at
 the basepoint.  The covariant derivative uses the midpoint-averaged bracket and
-its adjoint is the exact matrix transpose with the basepoint row removed.  The
-Green's operator assembles the based Laplacian d_w* d_w directly from per-edge
-blocks, factors it once with a dense Cholesky and solves each right-hand side
-by blocked forward and back substitution on the cached factor.  Dense storage
-is n^2 in the number of unknowns, hence the cap of MAX_VERTICES vertices.
+its adjoint is the exact matrix transpose with the basepoint row removed.
+
+The Green's operator inverts the based Laplacian d_w* d_w by a direct factor
+that follows the graph's breadth-first levels from the basepoint.  An edge
+joins vertices whose distances differ by at most one, so with the based
+vertices in level order d_w* d_w is block tridiagonal (Cuthill & McKee, 1969).
+Consecutive levels are merged into blocks of at least _MIN_BLOCK unknowns; the
+diagonal and coupling blocks are summed straight from per-edge blocks and
+factored by block Cholesky (George & Liu, 1981), so storage grows with the sum
+of squared block sizes, not with n^2.  Each solve is 2K matrix-vector
+products over the K blocks.  Graphs are capped at MAX_VERTICES vertices before
+any edge list is built, and at MAX_FACTOR_BYTES of factor before any block is
+allocated.
 
 Algebra values are stored in real coordinates: 1 per point for u(1)
 (coefficient of i) and 3 for su(2) (coefficients of i*sigma_j); the invariant
@@ -20,13 +28,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, SingularOperatorError
+from .errors import (ConfigError, DomainError, ShapeError, SingularOperatorError,
+                     SizeLimitError)
 from .lattice import SU2, U1
 
-MAX_VERTICES = 512
+MAX_VERTICES = 2 ** 16
 
-# rows per diagonal block of the blocked triangular solve
-_TRI_BLOCK = 32
+# bytes of the Green factor: the D_k, E_k, C_k^{-1} and W_k blocks together
+MAX_FACTOR_BYTES = 2 ** 30
+
+# fewest unknowns per factor block; consecutive levels merge until a block has them
+_MIN_BLOCK = 32
 
 ALG_DIM = {U1: 1, SU2: 3}
 
@@ -51,24 +63,35 @@ class GraphX:
         _check_vertex_count(self.n_vertices)
         if not 0 <= self.basepoint < self.n_vertices:
             raise ConfigError("basepoint outside vertex range")
-        adj = [[] for _ in range(self.n_vertices)]
-        for t, h in self.edges:
-            adj[t].append(h)
-            adj[h].append(t)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != self.n_vertices:
+        if sum(map(len, self.levels)) != self.n_vertices:
             raise ConfigError("graph is not connected")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def levels(self) -> tuple:
+        """Vertices reached from the basepoint, grouped by breadth-first
+        distance: level 0 is the basepoint alone, each level an index-sorted
+        array.  An edge joins vertices of the same or adjacent levels."""
+        adj = [[] for _ in range(self.n_vertices)]
+        for t, h in self.edges:
+            adj[t].append(h)
+            adj[h].append(t)
+        seen = [False] * self.n_vertices
+        seen[self.basepoint] = True
+        levels, frontier = [], [self.basepoint]
+        while frontier:
+            levels.append(np.sort(np.array(frontier, dtype=np.intp)))
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        nxt.append(w)
+            frontier = nxt
+        return tuple(levels)
 
     @cached_property
     def tails(self) -> np.ndarray:
@@ -86,7 +109,11 @@ class GraphX:
 
     @classmethod
     def torus(cls, nx: int, ny: int, basepoint: int = 0) -> "GraphX":
-        """Grid graph on a torus; x-edges first, then y-edges."""
+        """Grid graph on a torus; x-edges first, then y-edges.  The torus is
+        ring:nx x ring:ny, so each side needs at least 3 vertices."""
+        for name, side in (("nx", nx), ("ny", ny)):
+            if side < 3:
+                raise ConfigError(f"torus side {name} needs >= 3 vertices, got {side}")
         _check_vertex_count(nx * ny)
         def vid(i, j):
             return (i % nx) * ny + (j % ny)
@@ -111,7 +138,7 @@ def _check_vertex_count(n: int) -> None:
     if n < 3:
         raise ConfigError(f"graph needs >= 3 vertices, got {n}")
     if n > MAX_VERTICES:
-        raise ConfigError(f"graph exceeds the dense-solve cap of {MAX_VERTICES} vertices")
+        raise ConfigError(f"graph has {n} vertices, above the cap of {MAX_VERTICES}")
 
 
 def parse_graph(spec: str) -> GraphX:
@@ -156,47 +183,77 @@ def cov_deriv(graph: GraphX, group: str, omega: np.ndarray, mu: np.ndarray) -> n
     return mu_h - mu_t + alg_bracket(group, omega, 0.5 * (mu_h + mu_t))
 
 
-def _based_laplacian(graph: GraphX, group: str, omega: np.ndarray) -> np.ndarray:
-    """Dense d_w* d_w on based coordinates, summed from per-edge blocks.
+def green_blocks(graph: GraphX, group: str) -> list:
+    """The based vertices in the blocks of the Green factor.
+
+    A block is a run of consecutive breadth-first levels, merged until it holds
+    at least _MIN_BLOCK unknowns (the last block may hold fewer), with its
+    vertices in index order.  Raises SizeLimitError, before any block is
+    allocated, when the factor over these blocks would take more than
+    MAX_FACTOR_BYTES.
+    """
+    g = ALG_DIM[group]
+    blocks, run, count = [], [], 0
+    for level in graph.levels[1:]:
+        run.append(level)
+        count += g * len(level)
+        if count >= _MIN_BLOCK:
+            blocks.append(np.sort(np.concatenate(run)))
+            run, count = [], 0
+    if run:
+        blocks.append(np.sort(np.concatenate(run)))
+    sizes = [g * len(b) for b in blocks]
+    nbytes = 8 * (2 * sum(b * b for b in sizes)
+                  + 2 * sum(b * c for b, c in zip(sizes, sizes[1:])))
+    if nbytes > MAX_FACTOR_BYTES:
+        raise SizeLimitError(f"Green factor of {nbytes / 2**20:.0f} MiB exceeds the limit "
+                             f"of {MAX_FACTOR_BYTES / 2**20:.0f} MiB")
+    return blocks
+
+
+def _laplacian_blocks(graph: GraphX, group: str, omega: np.ndarray,
+                      blocks: list) -> tuple:
+    """d_w* d_w over the blocks: the diagonal blocks D_k and the coupling blocks
+    E_k (rows in block k+1, columns in block k), summed from per-edge blocks.
 
     (d_w mu)(e) = Ah mu(head) + At mu(tail) with Ah = I + B_e/2, At = -I + B_e/2
     and B_e the matrix of x -> [w(e), x], so edge e adds Ah^T Ah at (head, head),
     At^T At at (tail, tail), Ah^T At at (head, tail) and At^T Ah at (tail, head).
-    Blocks touching the basepoint are dropped.
+    Ends at the basepoint drop out, and so does the coupling above the
+    diagonal, the transpose of the one below.  All blocks share one buffer,
+    filled by a single scatter.
     """
-    omega = _check_edge(graph, group, omega)
     g = ALG_DIM[group]
-    nv, bp = graph.n_vertices, graph.basepoint
+    sizes = np.array([g * len(b) for b in blocks])
+    blk = np.full(graph.n_vertices, -1)
+    pos = np.zeros(graph.n_vertices, dtype=np.intp)
+    for k, b in enumerate(blocks):
+        blk[b] = k
+        pos[b] = np.arange(len(b))
+    # buffer layout: D_0 .. D_{K-1}, then E_0 .. E_{K-2}, each row-major
+    d_off = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    e_off = d_off[-1] + np.concatenate(([0], np.cumsum(sizes[1:] * sizes[:-1])))
     eye = np.eye(g)
     # column j of B_e is [w(e), e_j]
     B = alg_bracket(group, omega[:, None, :], eye).transpose(0, 2, 1)
-    based = np.arange(nv) - (np.arange(nv) > bp)
-    based[bp] = -1
-    ends = ((based[graph.heads], eye + 0.5 * B), (based[graph.tails], -eye + 0.5 * B))
-    L = np.zeros((nv - 1, g, nv - 1, g))
+    ends = ((graph.heads, eye + 0.5 * B), (graph.tails, -eye + 0.5 * B))
+    comp = np.arange(g)
+    index, value = [], []
     for rows, A_row in ends:
         for cols, A_col in ends:
-            ok = (rows >= 0) & (cols >= 0)
-            np.add.at(L, (rows[ok], slice(None), cols[ok], slice(None)),
-                      A_row[ok].transpose(0, 2, 1) @ A_col[ok])
-    return L.reshape((nv - 1) * g, (nv - 1) * g)
-
-
-def _solve_triangular(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """x with T x = b for triangular T by blocked substitution: each diagonal
-    block goes through np.linalg.solve, each off-diagonal block is one
-    matrix-vector product, so a solve costs O(n^2) after the factorization."""
-    n = len(b)
-    x = np.array(b, dtype=float)
-    starts = range(0, n, _TRI_BLOCK)
-    for s in starts if lower else reversed(starts):
-        e = min(s + _TRI_BLOCK, n)
-        if lower:
-            x[s:e] -= T[s:e, :s] @ x[:s]
-        else:
-            x[s:e] -= T[s:e, e:] @ x[e:]
-        x[s:e] = np.linalg.solve(T[s:e, s:e], x[s:e])
-    return x
+            kr, kc = blk[rows], blk[cols]
+            ok = (kc >= 0) & ((kr == kc) | (kr == kc + 1))
+            kr, kc = kr[ok], kc[ok]
+            # both D_k and E_k have the column block's width, sizes[kc]
+            start = np.where(kr == kc, d_off[kc], e_off[kc])
+            r0 = (start + g * pos[rows[ok]] * sizes[kc] + g * pos[cols[ok]])[:, None, None]
+            index.append((r0 + comp[:, None] * sizes[kc][:, None, None] + comp).ravel())
+            value.append((A_row[ok].transpose(0, 2, 1) @ A_col[ok]).ravel())
+    flat = np.bincount(np.concatenate(index), np.concatenate(value), minlength=e_off[-1])
+    D = [flat[d_off[k]:d_off[k + 1]].reshape(b, b) for k, b in enumerate(sizes)]
+    E = [flat[e_off[k]:e_off[k + 1]].reshape(sizes[k + 1], sizes[k])
+         for k in range(len(blocks) - 1)]
+    return D, E
 
 
 def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
@@ -218,10 +275,11 @@ def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
 class GreenOperator:
     """Inverse of the based covariant Laplacian d_w* d_w for one omega.
 
-    The Laplacian is assembled directly from per-edge blocks (_based_laplacian)
-    and factored once with a dense Cholesky; each solve is a forward and a back
-    triangular substitution on the cached factor, checked by its residual
-    against the Laplacian."""
+    d_w* d_w is block tridiagonal over green_blocks.  It is factored once by
+    block Cholesky: S_k = D_k - W_{k-1} W_{k-1}^T, C_k = chol(S_k), and the
+    factor keeps C_k^{-1} and W_k = E_k C_k^{-T}.  Each solve is a forward and
+    a back sweep of matrix-vector products, checked by its residual against
+    the D_k and E_k."""
 
     def __init__(self, graph: GraphX, group: str, omega: np.ndarray,
                  tolerance: float = 1e-10):
@@ -229,37 +287,51 @@ class GreenOperator:
         self.group = group
         self.omega = _check_edge(graph, group, omega)
         self.tolerance = tolerance
-        L = _based_laplacian(graph, group, self.omega)
-        try:
-            self._chol = np.linalg.cholesky(L)
-        except np.linalg.LinAlgError:
-            eigvals, eigvecs = np.linalg.eigh(L)
-            raise SingularOperatorError(
-                f"based Laplacian not SPD; smallest eigenvalue {eigvals[0]:.3e} "
-                f"along {eigvecs[:, 0]}")
-        self._L = L
-        self._keep = [v for v in range(graph.n_vertices) if v != graph.basepoint]
-
-    def _to_coords(self, mu: np.ndarray) -> np.ndarray:
-        return mu[self._keep].ravel()
-
-    def _from_coords(self, x: np.ndarray) -> np.ndarray:
-        g = ALG_DIM[self.group]
-        out = np.zeros((self.graph.n_vertices, g))
-        out[self._keep] = x.reshape(len(self._keep), g)
-        return out
+        blocks = green_blocks(graph, group)
+        self._order = np.concatenate(blocks)
+        bounds = np.cumsum([0] + [ALG_DIM[group] * len(b) for b in blocks])
+        self._slices = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
+        self._D, self._E = _laplacian_blocks(graph, group, self.omega, blocks)
+        self._cinv, self._W = [], []
+        for k, D in enumerate(self._D):
+            S = D - self._W[-1] @ self._W[-1].T if k else D
+            try:
+                C = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                raise SingularOperatorError(
+                    f"based Laplacian not SPD: block {k} of {len(blocks)} has smallest "
+                    f"Schur-complement eigenvalue {np.linalg.eigvalsh(S)[0]:.3e}") from None
+            self._cinv.append(np.linalg.inv(C))
+            if k < len(self._E):
+                self._W.append(self._E[k] @ self._cinv[k].T)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """u with (d* d) u = v on based fields; relative residual checked."""
         v = _check_vertex(self.graph, self.group, v)
-        rhs = self._to_coords(project_based(self.graph, v))
-        y = _solve_triangular(self._chol, rhs, lower=True)
-        x = _solve_triangular(self._chol.T, y, lower=False)
-        res = np.linalg.norm(self._L @ x - rhs)
+        rhs = v[self._order].ravel()
+        sl, cinv, W, D, E = self._slices, self._cinv, self._W, self._D, self._E
+        last = len(sl) - 1
+        y = np.empty_like(rhs)
+        for k, s in enumerate(sl):
+            y[s] = cinv[k] @ (rhs[s] - W[k - 1] @ y[sl[k - 1]] if k else rhs[s])
+        x = np.empty_like(rhs)
+        for k in range(last, -1, -1):
+            s = sl[k]
+            x[s] = cinv[k].T @ (y[s] - W[k].T @ x[sl[k + 1]] if k < last else y[s])
+        lx = np.empty_like(rhs)
+        for k, s in enumerate(sl):
+            lx[s] = D[k] @ x[s]
+            if k:
+                lx[s] += E[k - 1] @ x[sl[k - 1]]
+            if k < last:
+                lx[s] += E[k].T @ x[sl[k + 1]]
+        res = np.linalg.norm(lx - rhs)
         scale = max(np.linalg.norm(rhs), 1.0)
         if res > self.tolerance * scale:
             raise SingularOperatorError(f"Green solve residual {res:.3e} above tolerance")
-        return self._from_coords(x)
+        out = np.zeros((self.graph.n_vertices, ALG_DIM[self.group]))
+        out[self._order] = x.reshape(len(self._order), -1)
+        return out
 
 
 def green(graph: GraphX, group: str, omega: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -4,15 +4,16 @@ import gc
 import hashlib
 import json
 import re
+import time
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from caloron import lattice as lat, serialize
+from caloron import cli, lattice as lat, serialize, universal
 from caloron.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform, main
-from caloron.errors import ConfigError, ShapeError
+from caloron.errors import ConfigError, ShapeError, SingularOperatorError
 from caloron.lattice import SCALAR, SU2, U1, FormField, Grid, LinkField
 from caloron.scene import SceneConfig, parse_config_text, report_hash
 from caloron.transform import ProductConnection, forward_transform
@@ -200,6 +201,35 @@ def test_transform_round_trip(tmp_path, capsys):
     assert "roundtrip: exact" in capsys.readouterr().out
 
 
+def test_transform_roundtrip_compares_bits_nan(tmp_path, capsys):
+    """A NaN entry round-trips bit for bit, so the roundtrip is exact."""
+    doc = _zero_connection_doc()
+    doc["components"]["1"][0][0][0] = [float("nan"), 0.0]
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src), "--direction", "roundtrip"]) == EXIT_OK
+    assert "roundtrip: exact" in capsys.readouterr().out
+
+
+def test_transform_roundtrip_compares_bits_signed_zero(tmp_path, capsys, monkeypatch):
+    """A transform that loses the sign of a zero is a mismatch, though
+    -0.0 == 0.0."""
+    doc = _zero_connection_doc()
+    doc["components"]["1"][0][0][0] = [-0.0, 0.0]
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(doc))
+
+    def unsigned_forward(w):
+        w = ProductConnection(w.grid, w.group, {a: v + 0.0 for a, v in w.comps.items()},
+                              twist=w.twist)
+        return forward_transform(w)
+
+    monkeypatch.setattr(cli, "forward_transform", unsigned_forward)
+    assert main(["transform", "--input", str(src), "--direction", "roundtrip"]) == \
+        EXIT_TOLERANCE
+    assert "roundtrip: MISMATCH" in capsys.readouterr().err
+
+
 def test_transform_forward_then_inverse(tmp_path):
     w = _connection(SU2, seed=5)
     src = tmp_path / "w.json"
@@ -384,10 +414,35 @@ def test_universal_bad_graph_exit_code(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("spec", ["torus:x:4", "ring:abc"])
+@pytest.mark.parametrize("spec", ["torus:x:4", "ring:abc", "torus:-3:-3", "torus:1:4",
+                                  "torus:2:4"])
 def test_universal_malformed_graph_spec_exit_code(capsys, spec):
     assert main(["universal", "--graph", spec]) == EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+def test_universal_factor_size_limit_exit_code(capsys):
+    """torus:150:150 is within the vertex cap, but its su(2) Green factor
+    would take about 1.2 GiB: exit 2 before any block is allocated."""
+    start = time.perf_counter()
+    assert main(["universal", "--graph", "torus:150:150", "--group", "su2"]) == \
+        EXIT_VALIDATION
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "exceeds the limit" in err and "Traceback" not in err
+
+
+def test_universal_solve_tolerance_exit_code(capsys, monkeypatch):
+    """A Green solve that misses its residual tolerance, as on long su(2)
+    rings whose Laplacian grows ill-conditioned with the length, exits 4
+    without a traceback."""
+    def miss(self, v):
+        raise SingularOperatorError("Green solve residual 1e-09 above tolerance")
+
+    monkeypatch.setattr(universal.GreenOperator, "solve", miss)
+    assert main(["universal", "--graph", "torus:4:4", "--group", "su2"]) == EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert "tolerance error" in err and "Traceback" not in err
 
 
 def test_universal_has_no_checks_option(capsys):
@@ -449,7 +504,7 @@ def test_selftest_green_and_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scene,want", [
-    (None, "0936ada7bb3d1c21ada3268737916d05caaa881b3d064e85772fdbd67aecd2ad"),
+    (None, "5985fdaa3d7fe79026f5ebbc2b03ca015d7be011079701750ce636ec96dbb9aa"),
     ("base.sizes = 8,8\nfiber.sizes = 16,16\ngroup = u1\nfamily = u1_harmonic\n"
      "family.max_mode = 2\nseed = 5\ntwist = 2\nclasses = 0,2\n",
      "d04f2e2dc818eb02d07d4c024c0c554cd99d452ddd278630dfab456c2c61bf87"),

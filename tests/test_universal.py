@@ -1,6 +1,7 @@
 """Graph model tests: covariant calculus, Green operator, curvature properties."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caloron import universal as uni
 from caloron.errors import ConfigError, DomainError, ShapeError
@@ -39,6 +40,27 @@ def _cov_matrix(graph, group, omega):
     return D
 
 
+def _factor_order(graph, group, blocks):
+    """Columns of _cov_matrix (based vertices in index order) in block order."""
+    g = uni.ALG_DIM[group]
+    keep = [v for v in range(graph.n_vertices) if v != graph.basepoint]
+    col = {v: i for i, v in enumerate(keep)}
+    return np.array([col[v] * g + c for v in np.concatenate(blocks).tolist()
+                     for c in range(g)])
+
+
+def _dense_from_blocks(D, E):
+    """The block-tridiagonal matrix with diagonal blocks D and lower couplings E."""
+    bounds = np.cumsum([0] + [len(d) for d in D])
+    L = np.zeros((bounds[-1], bounds[-1]))
+    for k, d in enumerate(D):
+        L[bounds[k]:bounds[k + 1], bounds[k]:bounds[k + 1]] = d
+    for k, e in enumerate(E):
+        L[bounds[k + 1]:bounds[k + 2], bounds[k]:bounds[k + 1]] = e
+        L[bounds[k]:bounds[k + 1], bounds[k + 1]:bounds[k + 2]] = e.T
+    return L
+
+
 def test_graph_validation():
     with pytest.raises(ConfigError):
         GraphX(2, ((0, 1),))
@@ -56,17 +78,27 @@ def test_parse_graph():
     assert len(t.plaquettes) == 12
     with pytest.raises(ConfigError):
         parse_graph("chain:5")
-    for bad in ("torus:x:4", "ring:abc", "ring:2.5", "torus:4", "ring:4:4"):
+    for bad in ("torus:x:4", "ring:abc", "ring:2.5", "torus:4", "ring:4:4",
+                "torus:-3:-3", "torus:1:4", "torus:2:4", "torus:4:2"):
         with pytest.raises(ConfigError):
             parse_graph(bad)
 
 
 def test_graph_size_cap():
-    with pytest.raises(ConfigError, match="dense-solve cap"):
-        parse_graph("torus:100:100")
-    with pytest.raises(ConfigError, match="dense-solve cap"):
+    with pytest.raises(ConfigError, match="above the cap"):
+        parse_graph("torus:300:300")
+    with pytest.raises(ConfigError, match="above the cap"):
         GraphX.ring(uni.MAX_VERTICES + 1)
     assert GraphX.ring(uni.MAX_VERTICES).n_vertices == uni.MAX_VERTICES
+
+
+def test_graph_levels():
+    # [DERIVED] ring:8 from basepoint 2: distances 0, 1, 2, 3, 4 around both ways
+    levels = GraphX.ring(8, basepoint=2).levels
+    assert [lv.tolist() for lv in levels] == [[2], [1, 3], [0, 4], [5, 7], [6]]
+    t = GraphX.torus(3, 4)
+    assert t.levels is t.levels  # computed once per graph
+    assert sorted(np.concatenate(t.levels).tolist()) == list(range(12))
 
 
 def test_edge_index_arrays():
@@ -104,31 +136,64 @@ def test_adjoint_is_matrix_transpose():
     assert np.all(direct[g.basepoint] == 0.0)
 
 
-@pytest.mark.parametrize("spec", ["ring:8", "torus:3:4"])
+@pytest.mark.parametrize("spec", ["ring:8", "torus:3:4", "torus:6:8"])
 @pytest.mark.parametrize("group", [U1, SU2])
 def test_laplacian_assembly_matches_dense_oracle(spec, group):
     g = parse_graph(spec)
     rng = np.random.default_rng(11)
     omega = rng.standard_normal((g.n_edges, uni.ALG_DIM[group]))
-    D = _cov_matrix(g, group, omega)
-    L = uni._based_laplacian(g, group, omega)
+    blocks = uni.green_blocks(g, group)
+    D, E = uni._laplacian_blocks(g, group, omega, blocks)
+    L = _dense_from_blocks(D, E)
+    Dm = _cov_matrix(g, group, omega)[:, _factor_order(g, group, blocks)]
     scale = np.max(np.abs(L))
-    assert L.shape == (D.shape[1], D.shape[1])
-    assert np.max(np.abs(L - D.T @ D)) <= 1e-12 * scale
-    assert np.max(np.abs(L - L.T)) <= 1e-14 * scale
+    assert L.shape == (Dm.shape[1], Dm.shape[1])
+    assert np.max(np.abs(L - Dm.T @ Dm)) <= 1e-12 * scale
+    assert all(np.max(np.abs(d - d.T)) <= 1e-14 * scale for d in D)
 
 
-@pytest.mark.parametrize("lower", [True, False])
-def test_blocked_triangular_solve_matches_dense(lower):
-    n = 3 * uni._TRI_BLOCK + 7  # several blocks plus a ragged last one
-    rng = np.random.default_rng(12)
-    M = rng.standard_normal((n, n))
-    C = np.linalg.cholesky(M @ M.T + n * np.eye(n))
-    T = C if lower else C.T
-    b = rng.standard_normal(n)
-    x = uni._solve_triangular(T, b, lower=lower)
-    ref = np.linalg.solve(T, b)
-    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+@st.composite
+def _connected_multigraphs(draw):
+    """A random spanning tree on 3-40 vertices plus extra edges (parallel ones
+    allowed, no self-loops), randomly oriented and ordered, with a random
+    basepoint."""
+    n = draw(st.integers(3, 40))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    edges = [(h, t) if draw(st.booleans()) else (t, h) for t, h in edges]
+    edges = draw(st.permutations(edges))
+    return GraphX(n, tuple(edges), draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_connected_multigraphs(), group=st.sampled_from([U1, SU2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_level_blocked_green_matches_dense_solve(graph, group, seed):
+    """The blocks partition the based vertices, each in index order; an edge
+    stays within a block or joins adjacent ones; every block but the last has
+    at least 32 unknowns; and a solve matches np.linalg.solve on the
+    dense oracle's D^T D."""
+    g, bp = uni.ALG_DIM[group], graph.basepoint
+    blocks = uni.green_blocks(graph, group)
+    keep = [v for v in range(graph.n_vertices) if v != bp]
+    assert sorted(np.concatenate(blocks).tolist()) == keep
+    assert all(np.all(np.diff(b) > 0) for b in blocks)
+    assert all(g * len(b) >= 32 for b in blocks[:-1])
+    where = {v: k for k, b in enumerate(blocks) for v in b.tolist()}
+    assert all(abs(where[t] - where[h]) <= 1 for t, h in graph.edges if bp not in (t, h))
+
+    rng = np.random.default_rng(seed)
+    omega = rng.standard_normal((graph.n_edges, g))
+    D = _cov_matrix(graph, group, omega)
+    rhs = rng.standard_normal((len(keep), g))
+    ref = np.linalg.solve(D.T @ D, rhs.ravel()).reshape(len(keep), g)
+    v = np.zeros((graph.n_vertices, g))
+    v[keep] = rhs
+    got = GreenOperator(graph, group, omega).solve(v)
+    assert np.max(np.abs(got[keep] - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.all(got[bp] == 0.0)
 
 
 def test_green_hand_oracle_ring4():
@@ -253,6 +318,13 @@ def test_property_suite_green(spec, group):
 def test_property_suite_green_large_torus():
     # the benchmark size: 16 x 32 torus, 1533 su(2) unknowns
     results = run_property_suite(parse_graph("torus:16:32"), SU2, seed=3)
+    for name, residual, tol, ok in results:
+        assert ok, f"{name}: residual {residual} > {tol}"
+
+
+def test_property_suite_green_torus_64_64():
+    # 12,285 su(2) unknowns, 24x the dense-era cap of 512 vertices
+    results = run_property_suite(parse_graph("torus:64:64"), SU2, seed=3)
     for name, residual, tol, ok in results:
         assert ok, f"{name}: residual {residual} > {tol}"
 

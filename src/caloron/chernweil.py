@@ -34,7 +34,6 @@ from .transform import (
     ProductConnection,
     curvature_split,
     inverse_transform,
-    nabla_phi,
 )
 
 SYM_TRACE = "sym_trace"
@@ -262,9 +261,8 @@ class CaloronClassReport:
 def _curvature_slabs(data) -> tuple:
     """Accept a ProductConnection, a CurvatureTriple or an (A, Phi) pair;
     return (grid, group, blocks), where blocks(rows) is the curvature triple on
-    the points `rows` of base axis 0."""
-    if isinstance(data, ProductConnection):
-        return data.grid, data.group, lambda rows: curvature_split(data, rows)
+    the points `rows` of base axis 0.  A pair is reassembled into its
+    connection, which shares its arrays."""
     if isinstance(data, CurvatureTriple):
         grid = data.F_A.grid
 
@@ -275,18 +273,13 @@ def _curvature_slabs(data) -> tuple:
                 for F in (data.F_A, data.F_Phi, data.NablaPhi)))
 
         return grid, data.F_A.group, triple_rows
-    a, phi = data
-    if not isinstance(a, GaugeGroupConnection) or not isinstance(phi, HiggsFieldMap):
-        raise ShapeError("expected a ProductConnection or a (GaugeGroupConnection, "
-                         "HiggsFieldMap) pair")
-    w = inverse_transform(a, phi)
-
-    def pair_rows(rows):
-        triple = curvature_split(w, rows)
-        # the definition-sum path is the canonical mixed block for pair input
-        return CurvatureTriple(triple.F_A, triple.F_Phi, nabla_phi(a, phi, rows))
-
-    return w.grid, w.group, pair_rows
+    if isinstance(data, (tuple, list)) and \
+            tuple(map(type, data)) == (GaugeGroupConnection, HiggsFieldMap):
+        data = inverse_transform(*data)
+    if type(data) is not ProductConnection:
+        raise ShapeError("expected a ProductConnection, a CurvatureTriple or a "
+                         "(GaugeGroupConnection, HiggsFieldMap) pair")
+    return data.grid, data.group, lambda rows: curvature_split(data, rows)
 
 
 def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = None,

@@ -126,10 +126,6 @@ def value_shape(group: str) -> tuple:
     return _VALUE_SHAPE[group]
 
 
-def alg_zero(group: str, grid: Grid) -> np.ndarray:
-    return np.zeros(grid.sizes + value_shape(group), dtype=complex)
-
-
 def trace2(X: np.ndarray) -> np.ndarray:
     """Trace over the trailing (2, 2) axes, bit for bit np.trace's.
 
@@ -196,19 +192,6 @@ def group_mul(group: str, *factors) -> np.ndarray:
     for f in factors[1:]:
         out = out * f if group == U1 else out @ f
     return out
-
-
-def conjugate(group: str, g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """g X g^{-1}."""
-    if group == U1:
-        return X.copy() if isinstance(X, np.ndarray) else X
-    return g @ X @ group_inverse(group, g)
-
-
-def commutator(group: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    if group in (U1, SCALAR):
-        return np.zeros(np.broadcast(X, Y).shape, dtype=complex)
-    return X @ Y - Y @ X
 
 
 def alg_violation(group: str, X: np.ndarray) -> float:

@@ -92,6 +92,35 @@ def _number_array(data) -> np.ndarray:
     return np.array(entries, dtype=float).reshape(shape)
 
 
+def _component_key(key: str) -> tuple:
+    """The axes a component key names, spelled as the writers spell them:
+    decimal axes joined by commas.  int() alone would also read "00", " 0",
+    "+0", "0_2" and full-width digits, so two keys could name one axis and
+    one array silently replace the other."""
+    axes = tuple(int(x) for x in key.split(",")) if key else ()
+    if ",".join(map(str, axes)) != key:
+        raise ConfigError(f"component key {key!r} must be written "
+                          f"{','.join(map(str, axes))!r}")
+    return axes
+
+
+def _axes_to_doc(block, axes) -> dict:
+    """Every axis in `axes` of a connection or block, a missing one as zeros:
+    documents list every axis."""
+    return {str(a): _encode_array(block.component(a), block.group) for a in axes}
+
+
+def _axes_from_doc(data: dict, group: str) -> dict:
+    """An axis -> array object of a document; each key names one axis."""
+    out = {}
+    for key, value in data.items():
+        axes = _component_key(key)
+        if len(axes) != 1:
+            raise ConfigError(f"component key {key!r} names {len(axes)} axes, not one")
+        out[axes[0]] = _decode_array(value, group)
+    return out
+
+
 def grid_to_doc(grid: Grid) -> dict:
     return {
         "dim": grid.dim,
@@ -122,10 +151,8 @@ def form_to_doc(f: FormField) -> dict:
 def form_from_doc(doc: dict) -> FormField:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
-    comps = {}
-    for key, data in doc["components"].items():
-        axes = tuple(int(x) for x in key.split(",")) if key else ()
-        comps[axes] = _decode_array(data, group)
+    comps = {_component_key(key): _decode_array(data, group)
+             for key, data in doc["components"].items()}
     return FormField(grid, group, _integer(doc["degree"], "degree"), comps)
 
 
@@ -141,8 +168,7 @@ def links_to_doc(u: LinkField) -> dict:
 def links_from_doc(doc: dict) -> LinkField:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
-    links = {int(a): _decode_array(v, group) for a, v in doc["links"].items()}
-    return LinkField(grid, group, links)
+    return LinkField(grid, group, _axes_from_doc(doc["links"], group))
 
 
 def connection_to_doc(w: ProductConnection) -> dict:
@@ -151,7 +177,7 @@ def connection_to_doc(w: ProductConnection) -> dict:
         "grid": grid_to_doc(w.grid),
         "group": w.group,
         "twist": w.twist,
-        "components": {str(a): _encode_array(v, w.group) for a, v in w.comps.items()},
+        "components": _axes_to_doc(w, range(w.grid.dim)),
     }
 
 
@@ -159,8 +185,7 @@ def connection_to_doc(w: ProductConnection) -> dict:
 def connection_from_doc(doc: dict) -> ProductConnection:
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
-    comps = {int(a): _decode_array(v, group) for a, v in doc["components"].items()}
-    return ProductConnection(grid, group, comps,
+    return ProductConnection(grid, group, _axes_from_doc(doc["components"], group),
                              twist=_integer(doc.get("twist", 0), "twist"))
 
 
@@ -170,8 +195,8 @@ def pair_to_doc(a: GaugeGroupConnection, phi: HiggsFieldMap) -> dict:
         "grid": grid_to_doc(a.grid),
         "group": a.group,
         "twist": phi.twist,
-        "A": {str(ax): _encode_array(v, a.group) for ax, v in a.comps.items()},
-        "Phi": {str(ax): _encode_array(v, phi.group) for ax, v in phi.comps.items()},
+        "A": _axes_to_doc(a, a.grid.base_axes),
+        "Phi": _axes_to_doc(phi, phi.grid.fiber_axes),
     }
 
 
@@ -179,12 +204,8 @@ def pair_to_doc(a: GaugeGroupConnection, phi: HiggsFieldMap) -> dict:
 def pair_from_doc(doc: dict):
     grid = grid_from_doc(doc["grid"])
     group = doc["group"]
-    a = GaugeGroupConnection(grid, group,
-                             {int(ax): _decode_array(v, group)
-                              for ax, v in doc["A"].items()})
-    phi = HiggsFieldMap(grid, group,
-                        {int(ax): _decode_array(v, group)
-                         for ax, v in doc["Phi"].items()},
+    a = GaugeGroupConnection(grid, group, _axes_from_doc(doc["A"], group))
+    phi = HiggsFieldMap(grid, group, _axes_from_doc(doc["Phi"], group),
                         twist=_integer(doc.get("twist", 0), "twist"))
     return a, phi
 

@@ -33,42 +33,45 @@ def _check_product(grid: Grid) -> None:
         raise ConfigError("product grid needs at least one base and one fiber axis")
 
 
-def _block_comps(grid: Grid, group: str, comps: dict, axes) -> dict:
-    """Every axis of a block as an algebra array on the full grid, a missing
-    axis as zeros; a key that names no axis of the block is a ShapeError."""
-    _check_product(grid)
-    axes = tuple(axes)
-    stray = [a for a in comps if a not in axes]
-    if stray:
-        raise ShapeError(f"component keys {stray} name no axis of this block; "
-                         f"its axes are {list(axes)}")
-    shape = grid.sizes + value_shape(group)
-    full = {}
-    for a in axes:
-        arr = comps.get(a)
-        if arr is None:
-            arr = np.zeros(shape, dtype=complex)
-        else:
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != shape:
-                raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
-        full[a] = arr
-    return full
-
-
 @dataclass
 class ProductConnection:
-    """Connection 1-form on the product grid, periodic part plus twist metadata."""
+    """Connection 1-form on the product grid, periodic part plus twist metadata.
+
+    `comps` holds only the axes that are present; a missing axis is zero and
+    reads as one through `component`, as a FormField's missing component does.
+    The (A, Phi) blocks are this type restricted to the base and to the fiber
+    axes; the twist rides on Phi.
+    """
 
     grid: Grid
     group: str
     comps: dict = field(default_factory=dict)  # axis -> algebra array on the full grid
     twist: int = 0
 
+    def _axes(self) -> tuple:
+        """The axes this connection may carry."""
+        return tuple(range(self.grid.dim))
+
     def __post_init__(self):
-        self.comps = _block_comps(self.grid, self.group, self.comps, range(self.grid.dim))
+        _check_product(self.grid)
+        axes = self._axes()
+        stray = [a for a in self.comps if a not in axes]
+        if stray:
+            raise ShapeError(f"component keys {stray} name no axis of this block; "
+                             f"its axes are {list(axes)}")
+        shape = self.grid.sizes + value_shape(self.group)
+        comps = {}
+        for a, arr in self.comps.items():
+            arr = np.asarray(arr, dtype=complex)
+            if arr.shape != shape:
+                raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
+            comps[a] = arr
+        self.comps = comps
         if self.twist and self.group != U1:
             raise ConfigError("twists are supported for U(1) only")
+        # the twist plane ends on the last axis, always a fiber axis
+        if self.twist and self.grid.dim - 1 not in axes:
+            raise ConfigError("the twist rides on the Higgs field, not on the base block")
 
     @classmethod
     def zero(cls, grid: Grid, group: str, twist: int = 0) -> "ProductConnection":
@@ -80,37 +83,33 @@ class ProductConnection:
             raise DegreeError("ProductConnection needs a 1-form")
         return cls(A.grid, A.group, {k[0]: v for k, v in A.comps.items()}, twist)
 
+    def component(self, axis: int) -> np.ndarray:
+        """The component on `axis`, or a read-only zero array when it is missing."""
+        arr = self.comps.get(axis)
+        if arr is None:
+            arr = np.broadcast_to(np.zeros((), dtype=complex),
+                                  self.grid.sizes + value_shape(self.group))
+        return arr
+
     def one_form(self) -> FormField:
         return FormField(self.grid, self.group, 1,
                          {(a,): v for a, v in self.comps.items()})
 
 
-@dataclass
-class GaugeGroupConnection:
-    """Base-axis block: per base axis, a gauge-algebra map over the fiber grid,
-    sampled at every product-grid point."""
+class GaugeGroupConnection(ProductConnection):
+    """Base-axis block A: per base axis, a gauge-algebra map over the fiber
+    grid, sampled at every product-grid point."""
 
-    grid: Grid
-    group: str
-    comps: dict = field(default_factory=dict)  # base axis -> array on the full grid
-
-    def __post_init__(self):
-        self.comps = _block_comps(self.grid, self.group, self.comps, self.grid.base_axes)
+    def _axes(self) -> tuple:
+        return self.grid.base_axes
 
 
-@dataclass
-class HiggsFieldMap:
-    """Fiber-axis block: per base point, a fiber connection 1-form; shared twist."""
+class HiggsFieldMap(ProductConnection):
+    """Fiber-axis block Phi: per base point, a fiber connection 1-form; it
+    carries the twist."""
 
-    grid: Grid
-    group: str
-    comps: dict = field(default_factory=dict)  # fiber axis -> array on the full grid
-    twist: int = 0
-
-    def __post_init__(self):
-        self.comps = _block_comps(self.grid, self.group, self.comps, self.grid.fiber_axes)
-        if self.twist and self.group != U1:
-            raise ConfigError("twists are supported for U(1) only")
+    def _axes(self) -> tuple:
+        return self.grid.fiber_axes
 
 
 @dataclass
@@ -131,9 +130,9 @@ class CurvatureTriple:
 def forward_transform(w: ProductConnection) -> tuple:
     """Split the product connection into its (A, Phi) blocks.  Pure reindexing."""
     a = GaugeGroupConnection(w.grid, w.group,
-                             {ax: w.comps[ax] for ax in w.grid.base_axes})
+                             {ax: w.comps[ax] for ax in w.grid.base_axes if ax in w.comps})
     phi = HiggsFieldMap(w.grid, w.group,
-                        {ax: w.comps[ax] for ax in w.grid.fiber_axes},
+                        {ax: w.comps[ax] for ax in w.grid.fiber_axes if ax in w.comps},
                         twist=w.twist)
     return a, phi
 
@@ -144,10 +143,7 @@ def inverse_transform(a: GaugeGroupConnection, phi: HiggsFieldMap) -> ProductCon
         raise ShapeError("base/fiber grids of the pair do not match")
     if a.group != phi.group:
         raise ShapeError("group mismatch in the pair")
-    comps = {}
-    comps.update(a.comps)
-    comps.update(phi.comps)
-    return ProductConnection(a.grid, a.group, comps, twist=phi.twist)
+    return ProductConnection(a.grid, a.group, {**a.comps, **phi.comps}, twist=phi.twist)
 
 
 def link_forward(u: LinkField) -> tuple:
@@ -209,12 +205,12 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
     """
     grid, group = w.grid, w.group
     h = grid.spacings
+    A = [w.component(a) for a in range(grid.dim)]
     F = {}
     for i, j in combinations(range(grid.dim), 2):
-        Fij = _row_difference(w.comps[j], i, h[i], rows) \
-            - _row_difference(w.comps[i], j, h[j], rows)
+        Fij = _row_difference(A[j], i, h[i], rows) - _row_difference(A[i], j, h[j], rows)
         if group != U1:
-            Ai, Aj = w.comps[i][rows], w.comps[j][rows]
+            Ai, Aj = A[i][rows], A[j][rows]
             Fij = Fij + (Ai @ Aj - Aj @ Ai)
         F[(i, j)] = Fij
     slab = grid.slab(rows)
@@ -232,8 +228,8 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap,
     [A, Phi], fiber derivative of A, plus the twist background's mixed part,
     on the points `rows` of axis 0 (all of them by default).
 
-    This is the canonical output; curvature_split provides the independent
-    cross-check path.
+    It is the independent check on curvature_split's mixed block, which the
+    class routines use; the two agree bit for bit.
     """
     if a.grid != phi.grid or a.group != phi.group:
         raise ShapeError("pair grids/groups do not match")
@@ -242,10 +238,10 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap,
     out = {}
     for mu in grid.base_axes:
         for nu in grid.fiber_axes:
-            val = _row_difference(phi.comps[nu], mu, h[mu], rows) \
-                - _row_difference(a.comps[mu], nu, h[nu], rows)
+            val = _row_difference(phi.component(nu), mu, h[mu], rows) \
+                - _row_difference(a.component(mu), nu, h[nu], rows)
             if group != U1:
-                Am, Pn = a.comps[mu][rows], phi.comps[nu][rows]
+                Am, Pn = a.component(mu)[rows], phi.component(nu)[rows]
                 val = val + (Am @ Pn - Pn @ Am)
             out[(mu, nu)] = val
     slab = grid.slab(rows)
@@ -277,7 +273,7 @@ def higgs_gauge_action(phi: HiggsFieldMap, psi: np.ndarray) -> HiggsFieldMap:
     for nu in grid.fiber_axes:
         dpsi = central_difference(psi, nu, h[nu])
         if group == U1:
-            out[nu] = phi.comps[nu] + inv * dpsi
+            out[nu] = phi.component(nu) + inv * dpsi
         else:
-            out[nu] = inv @ phi.comps[nu] @ psi + inv @ dpsi
+            out[nu] = inv @ phi.component(nu) @ psi + inv @ dpsi
     return HiggsFieldMap(grid, group, out, twist=phi.twist)

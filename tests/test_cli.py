@@ -58,6 +58,10 @@ def test_links_doc_round_trip():
     back = serialize.links_from_doc(doc)
     for a in range(2):
         assert np.array_equal(back.links[a], u.links[a])
+    for key in _NONCANONICAL_KEYS + ["0,1", ""]:
+        bad = dict(doc, links={key: doc["links"]["0"], "1": doc["links"]["1"]})
+        with pytest.raises(ConfigError):
+            serialize.links_from_doc(bad)
 
 
 def test_document_kind():
@@ -75,7 +79,12 @@ def test_form_doc_round_trip_and_key_validation():
     back = serialize.form_from_doc(doc)
     assert set(back.comps) == {(0, 2)}
     assert np.array_equal(back.comps[(0, 2)], f.comps[(0, 2)])
-    doc["components"] = {"2,0": doc["components"]["0,2"]}
+    data = doc["components"]["0,2"]
+    for key in ("00,2", "0, 2", "+0,2", "0,2,", "0,,2", "0_0,2", "０,2"):
+        doc["components"] = {key: data}
+        with pytest.raises(ConfigError, match="must be written|malformed"):
+            serialize.form_from_doc(doc)
+    doc["components"] = {"2,0": data}
     with pytest.raises(ShapeError):
         serialize.form_from_doc(doc)
 
@@ -563,6 +572,11 @@ def test_classes_max_mode_bound_exit_code(tmp_path, capsys):
     assert "max_mode" in capsys.readouterr().err
 
 
+# keys int() reads as an axis of a (4, 4, 4) grid, each spelled otherwise
+# than the writers spell it
+_NONCANONICAL_KEYS = ["00", " 0", "0 ", "+0", "0_2", "２"]
+
+
 def _zero_connection_doc() -> dict:
     grid = Grid(sizes=(4, 4, 4), base_axes=(0,))
     return json.loads(json.dumps(serialize.connection_to_doc(
@@ -604,10 +618,17 @@ def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     ("components", "-1", "forward"),
     ("Phi", "0", "inverse"),
     ("A", "2", "inverse"),
+] + [("components", key, "forward") for key in _NONCANONICAL_KEYS] + [
+    ("components", "0_2", "roundtrip"),
+    ("A", "00", "inverse"),
+    ("Phi", "+1", "inverse"),
+    ("Phi", "２", "roundtrip"),
 ])
 def test_transform_stray_component_key_exit_code(tmp_path, capsys, block, key,
                                                  direction):
-    """A component for an axis the block does not have is rejected, not dropped."""
+    """A component for an axis the block does not have is rejected, not
+    dropped; so is a key that int() reads as an axis but that is not how the
+    writers spell it, which would silently replace that axis's array."""
     doc = _zero_connection_doc()
     if block != "components":
         doc = serialize.pair_to_doc(*forward_transform(serialize.connection_from_doc(doc)))
@@ -616,8 +637,27 @@ def test_transform_stray_component_key_exit_code(tmp_path, capsys, block, key,
     src.write_text(json.dumps(doc))
     assert main(["transform", "--input", str(src), "--direction", direction,
                  "--output", str(tmp_path / "out.json")]) == EXIT_VALIDATION
-    assert "no axis" in capsys.readouterr().err
+    want = "no axis" if str(int(key)) == key else "must be written"
+    assert want in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_transform_pair_with_empty_a(tmp_path, capsys):
+    """A pair document whose A lists no axis round-trips exactly, and its
+    inverse writes every axis, the missing ones as zeros."""
+    a, phi = forward_transform(_connection(U1, seed=3, twist=1))
+    doc = serialize.pair_to_doc(a, phi)
+    doc["A"] = {}
+    src, back = tmp_path / "pair.json", tmp_path / "back.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src), "--direction", "roundtrip"]) == EXIT_OK
+    assert "roundtrip: exact" in capsys.readouterr().out
+    assert main(["transform", "--input", str(src), "--direction", "inverse",
+                 "--output", str(back)]) == EXIT_OK
+    w = json.loads(back.read_text())
+    assert list(w["components"]) == ["0", "1"] and w["twist"] == 1
+    assert w["components"]["1"] == doc["Phi"]["1"]
+    assert not np.any(serialize.connection_from_doc(w).comps[0])
 
 
 # integers stay small, so a mutated grid size never asks for a large grid
@@ -638,7 +678,8 @@ _mutation_paths = st.sampled_from([
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=_mutation_paths, value=_json_values, rename=st.booleans(),
+@given(path=_mutation_paths, value=_json_values,
+       rename=st.none() | st.text(max_size=3) | st.sampled_from(_NONCANONICAL_KEYS),
        direction=st.sampled_from(["forward", "inverse", "roundtrip"]))
 def test_transform_fuzzed_document_never_crashes(tmp_path, capsys, path, value,
                                                  rename, direction):
@@ -648,8 +689,8 @@ def test_transform_fuzzed_document_never_crashes(tmp_path, capsys, path, value,
     target = doc
     for key in path[:-1]:
         target = target[key]
-    if rename and isinstance(target, dict) and isinstance(value, str):
-        target[value] = target.pop(path[-1])
+    if rename is not None and isinstance(target, dict):
+        target[rename] = target.pop(path[-1])
     else:
         target[path[-1]] = value
     src = tmp_path / "fuzz.json"

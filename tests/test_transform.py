@@ -1,8 +1,11 @@
 """Correspondence tests: lossless round trips and the curvature decomposition."""
+import json
+
 import numpy as np
 import pytest
 
-from caloron import lattice as lat, transform as tr
+from caloron import chernweil, lattice as lat, serialize, transform as tr
+from caloron.chernweil import InvariantPolynomial, caloron_class, string_class
 from caloron.errors import ConfigError, ShapeError
 from caloron.lattice import SU2, U1, FormField, Grid, LinkField
 from caloron.transform import (
@@ -79,15 +82,32 @@ def test_blocks_reject_keys_outside_their_axes():
     for key in (0, 3):
         with pytest.raises(ShapeError):
             HiggsFieldMap(grid, U1, {1: ones, key: ones})
-    # every key naming an axis of its block is kept, a missing axis reads as zero
+    # a missing axis is absent from comps and reads as a read-only zero, while
+    # a written document still lists every axis of the block
     phi = HiggsFieldMap(grid, U1, {2: ones})
-    assert set(phi.comps) == {1, 2} and not phi.comps[1].any()
+    assert set(phi.comps) == {2}
+    zero = phi.component(1)
+    assert zero.shape == grid.sizes and not zero.any() and not zero.flags.writeable
+    assert phi.component(2) is phi.comps[2]
+    doc = serialize.pair_to_doc(tr.GaugeGroupConnection(grid, U1), phi)
+    assert list(doc["A"]) == ["0"] and list(doc["Phi"]) == ["1", "2"]
+    assert ProductConnection.zero(grid, U1).comps == {}
 
 
 def test_twist_requires_abelian():
     grid = _product_grid(6)
     with pytest.raises(ConfigError):
         ProductConnection.zero(grid, SU2, twist=1)
+    with pytest.raises(ConfigError):
+        HiggsFieldMap.zero(grid, SU2, twist=1)
+
+
+def test_twist_rides_on_the_higgs_field():
+    grid = _product_grid(6)
+    with pytest.raises(ConfigError):
+        tr.GaugeGroupConnection.zero(grid, U1, twist=1)
+    a, phi = forward_transform(ProductConnection.zero(grid, U1, twist=-1))
+    assert (a.twist, phi.twist) == (0, -1)
 
 
 def test_pair_mismatch_rejected():
@@ -196,3 +216,91 @@ def test_link_inverse_coverage_guard():
     base, fiber = link_forward(u)
     with pytest.raises(ShapeError):
         link_inverse(base, {}, grid, U1)
+
+
+# ---------------------------------------------------------------------------
+# one connection type: pair input and missing axes, against dense zeros
+
+# a 1-d fiber, so string classes apply; the U(1) twist plane (2, 3) is mixed
+_MERGED_GRID = Grid(sizes=(5, 4, 4, 6), base_axes=(0, 1, 2))
+_MERGED_CASES = [(U1, 1), (U1, -1), (SU2, 0)]
+# the rows of base axis 0 taken at a time: the whole grid, or two slabs
+_SLABS = {"whole": (slice(None),), "two-slabs": (slice(0, 3), slice(3, 5))}
+
+
+def _merged_connection(group, twist):
+    fam = "u1_harmonic" if group == U1 else "su2_band_limited"
+    A = lat.sample(fam, _MERGED_GRID, group, {"max_mode": 1}, seed=41)
+    return ProductConnection.from_one_form(A, twist=twist)
+
+
+def _stream(monkeypatch, slabs):
+    """Make the class routines take the slabs of _SLABS[slabs]."""
+    if slabs == "two-slabs":
+        monkeypatch.setattr(chernweil, "_slab_rows", lambda grid, group: 3)
+
+
+def _class_forms(data) -> list:
+    """The numeric, symbolic and string class forms of a connection or pair."""
+    f = InvariantPolynomial(2)
+    return [caloron_class(data, f, 3).class_form,
+            caloron_class(data, f, 3, symbolic_path=True).class_form,
+            string_class(data, f, 2).class_form]
+
+
+def _assert_same_bits(x: FormField, y: FormField):
+    assert (x.grid, x.group, x.degree) == (y.grid, y.group, y.degree)
+    assert set(x.comps) == set(y.comps)
+    for key, arr in x.comps.items():
+        assert arr.tobytes() == y.comps[key].tobytes(), key
+
+
+@pytest.mark.parametrize("slabs", list(_SLABS))
+@pytest.mark.parametrize("group,twist", _MERGED_CASES)
+def test_nabla_phi_equals_curvature_split_mixed_block(group, twist, slabs):
+    w = _merged_connection(group, twist)
+    a, phi = forward_transform(w)
+    for rows in _SLABS[slabs]:
+        _assert_same_bits(nabla_phi(a, phi, rows), curvature_split(w, rows).NablaPhi)
+
+
+@pytest.mark.parametrize("slabs", list(_SLABS))
+@pytest.mark.parametrize("group,twist", _MERGED_CASES)
+def test_pair_and_connection_class_forms_identical(monkeypatch, group, twist, slabs):
+    w = _merged_connection(group, twist)
+    _stream(monkeypatch, slabs)
+    for got, want in zip(_class_forms(forward_transform(w)), _class_forms(w)):
+        _assert_same_bits(got, want)
+
+
+def _drop_axes(w, missing: str):
+    """w without its base axes or its fiber axes, or the zero connection."""
+    if missing == "all":
+        return ProductConnection.zero(w.grid, w.group, w.twist)
+    keep = w.grid.fiber_axes if missing == "A" else w.grid.base_axes
+    return ProductConnection(w.grid, w.group, {a: w.comps[a] for a in keep}, twist=w.twist)
+
+
+@pytest.mark.parametrize("slabs", list(_SLABS))
+@pytest.mark.parametrize("missing", ["A", "Phi", "all"])
+@pytest.mark.parametrize("group,twist", _MERGED_CASES)
+def test_missing_axes_match_dense_zeros(monkeypatch, group, twist, missing, slabs):
+    """A connection with missing axes computes and writes exactly what the
+    same connection with explicit np.zeros arrays does."""
+    sparse = _drop_axes(_merged_connection(group, twist), missing)
+    shape = sparse.grid.sizes + lat.value_shape(group)
+    dense = ProductConnection(sparse.grid, group, {
+        a: sparse.comps.get(a, np.zeros(shape, dtype=complex))
+        for a in range(sparse.grid.dim)}, twist=twist)
+    assert len(sparse.comps) < len(dense.comps)
+
+    for rows in _SLABS[slabs]:
+        for got, want in zip(vars(curvature_split(sparse, rows)).values(),
+                             vars(curvature_split(dense, rows)).values()):
+            _assert_same_bits(got, want)
+    _stream(monkeypatch, slabs)
+    for got, want in zip(_class_forms(sparse), _class_forms(dense)):
+        _assert_same_bits(got, want)
+    for write in (serialize.connection_to_doc,
+                  lambda w: serialize.pair_to_doc(*forward_transform(w))):
+        assert json.dumps(write(sparse)) == json.dumps(write(dense))

@@ -6,6 +6,7 @@ of the exact symbolic integrand.  Both must agree; tests enforce it.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -204,6 +205,19 @@ def _slab_rows(grid: Grid, group: str) -> int:
     return max(1, _SLAB_BYTES // row)
 
 
+# Cap on the threads that stream one class's slabs.  Each thread holds one
+# slab of curvature and density, about 4 MB on the (32,32,4,32,4) U(1) grid.
+_MAX_WORKERS = 4
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _fiber_integral(grid: Grid, group: str, blocks, density, degree: int) -> FormField:
     """Fiber integral of the degree-`degree` scalar form density(triple),
     streamed over slabs of base axis 0; `blocks(rows)` is the curvature
@@ -212,15 +226,34 @@ def _fiber_integral(grid: Grid, group: str, blocks, density, degree: int) -> For
     The fiber integral at a base point needs the curvature only there, and
     the curvature there needs the connection only at that point and its
     neighbours.  So each slab's curvature, density and fiber mean are made
-    and dropped in turn, and peak memory is about one slab above the input.
-    Each point sees fiber_integrate's arithmetic on the same values, so the
-    result is bit for bit that of the whole grid.
+    and dropped in turn, and peak memory is about one slab per worker above
+    the input.  Each point sees fiber_integrate's arithmetic on the same
+    values, so the result is bit for bit that of the whole grid.
+
+    The slabs run on min(usable CPUs, slabs, _MAX_WORKERS) threads of a pool
+    that lives for this call only; with one, they run inline.  numpy
+    releases the interpreter lock inside its array loops, and each slab adds
+    into its own rows of the result, so the bits do not depend on which
+    thread runs which slab, or when.  An exception in a slab cancels the
+    slabs not yet started and is raised here once the running ones end.
     """
     out = _zero_base_form(grid, degree)
     n0, step = grid.sizes[0], _slab_rows(grid, group)
-    for s0 in range(0, n0, step):
-        rows = slice(s0, min(s0 + step, n0))
+    slabs = [slice(s0, min(s0 + step, n0)) for s0 in range(0, n0, step)]
+
+    def add_slab(rows):
         _add_fiber_means(density(blocks(rows)), out.comps, rows)
+
+    workers = min(_usable_cpus(), len(slabs), _MAX_WORKERS)
+    if workers == 1:
+        for rows in slabs:
+            add_slab(rows)
+        return out
+    # imported here, so single-slab calls never load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(add_slab, slabs):
+            pass
     return out
 
 

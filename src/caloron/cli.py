@@ -74,6 +74,9 @@ def _transform(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"invalid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     try:
         kind = serialize.document_kind(doc)

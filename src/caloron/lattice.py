@@ -312,8 +312,43 @@ def _check_compatible(a: FormField, b: FormField) -> None:
         raise ShapeError(f"group mismatch: {a.group} vs {b.group}")
 
 
-def central_difference(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+def central_difference(arr: np.ndarray, axis: int, spacing: float,
+                       rows: slice = slice(None)) -> np.ndarray:
+    """Periodic central difference (arr[i+1] - arr[i-1]) / (2 spacing) along
+    `axis`, on the points `rows` (a slice of step 1) of axis 0.
+
+    Along axis 0 it reads the rows either side of `rows`, wrapping
+    periodically.  The result is the one array it allocates: the interior
+    is a subtraction of shifted slices into it, the two wrap-around points
+    are subtracted on their own, and the whole is then divided in place.
+    Those are the subtraction and the complex-by-float division of
+    (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * spacing), so
+    the bits are the same, signed zeros included.
+    """
+    if rows.step not in (None, 1):
+        raise ValueError(f"rows must have step 1, got {rows}")
+    arr = np.asarray(arr)
+    if axis:
+        arr, rows = arr[rows], slice(None)
+    n = arr.shape[axis]
+    start, stop, _ = rows.indices(n)
+    stop = max(start, stop)
+
+    def at(i, j):
+        return (slice(None),) * axis + (slice(i, j),)
+
+    out = np.empty(arr.shape[:axis] + (stop - start,) + arr.shape[axis + 1:],
+                   dtype=np.result_type(arr, 2.0 * spacing))
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if lo < hi:
+        np.subtract(arr[at(lo + 1, hi + 1)], arr[at(lo - 1, hi - 1)],
+                    out=out[at(lo - start, hi - start)])
+    if start == 0 < stop:
+        np.subtract(arr[at(1 % n, 1 % n + 1)], arr[at(n - 1, n)], out=out[at(0, 1)])
+    if start < n == stop and n > 1:
+        np.subtract(arr[at(0, 1)], arr[at(n - 2, n - 1)], out=out[at(n - 1 - start, n - start)])
+    np.divide(out, 2.0 * spacing, out=out)
+    return out
 
 
 def ext_deriv(f: FormField) -> FormField:
@@ -432,9 +467,6 @@ class LinkField:
 
     def copy(self) -> "LinkField":
         return LinkField(self.grid, self.group, {a: u.copy() for a, u in self.links.items()})
-
-    def max_group_violation(self) -> float:
-        return max(group_violation(self.group, u) for u in self.links.values())
 
 
 def plaquette_holonomy(u: LinkField, ax: int, ay: int) -> np.ndarray:

@@ -210,9 +210,20 @@ def pair_from_doc(doc: dict):
     return a, phi
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice is a ConfigError, where
+    json.load would keep the last value and drop the first unseen."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ConfigError(f"key {repeated!r} appears twice in one JSON object")
+    return obj
+
+
 def load_document(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def save_document(doc: dict, path: str) -> None:

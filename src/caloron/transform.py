@@ -183,17 +183,6 @@ def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
         (ax, ay): np.full(grid.sizes, -1j * TWO_PI * twist / area, dtype=complex)})
 
 
-def _row_difference(arr: np.ndarray, axis: int, spacing: float, rows: slice) -> np.ndarray:
-    """central_difference(arr, axis, spacing)[rows], computed on those rows of
-    axis 0 only.  Along axis 0 it reads the rows either side, wrapping
-    periodically, which gives np.roll's values bit for bit."""
-    if axis:
-        return central_difference(arr[rows], axis, spacing)
-    n = arr.shape[0]
-    idx = np.arange(n)[rows]
-    return (np.take(arr, (idx + 1) % n, 0) - np.take(arr, (idx - 1) % n, 0)) / (2.0 * spacing)
-
-
 def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> CurvatureTriple:
     """F = dA + 1/2 [A, A] + twist background on the points `rows` of axis 0
     (all of them by default), partitioned by bidegree; the blocks share F's
@@ -208,10 +197,11 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
     A = [w.component(a) for a in range(grid.dim)]
     F = {}
     for i, j in combinations(range(grid.dim), 2):
-        Fij = _row_difference(A[j], i, h[i], rows) - _row_difference(A[i], j, h[j], rows)
+        Fij = central_difference(A[j], i, h[i], rows)
+        np.subtract(Fij, central_difference(A[i], j, h[j], rows), out=Fij)
         if group != U1:
             Ai, Aj = A[i][rows], A[j][rows]
-            Fij = Fij + (Ai @ Aj - Aj @ Ai)
+            Fij += Ai @ Aj - Aj @ Ai
         F[(i, j)] = Fij
     slab = grid.slab(rows)
     F = FormField(slab, group, 2, F) + background_curvature(slab, group, w.twist)
@@ -238,8 +228,8 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap,
     out = {}
     for mu in grid.base_axes:
         for nu in grid.fiber_axes:
-            val = _row_difference(phi.component(nu), mu, h[mu], rows) \
-                - _row_difference(a.component(mu), nu, h[nu], rows)
+            val = central_difference(phi.component(nu), mu, h[mu], rows)
+            np.subtract(val, central_difference(a.component(mu), nu, h[nu], rows), out=val)
             if group != U1:
                 Am, Pn = a.component(mu)[rows], phi.component(nu)[rows]
                 val = val + (Am @ Pn - Pn @ Am)

@@ -47,7 +47,11 @@ def alg_bracket(group: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coordinate bracket: zero for u(1); [i a.sigma, i b.sigma] = i(-2 a x b).sigma."""
     if group == U1:
         return np.zeros(np.broadcast(x, y).shape)
-    return -2.0 * np.cross(x, y)
+    # np.cross's component differences, in its order, without its axis moves
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return -2.0 * np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0],
+                           axis=-1)
 
 
 @dataclass(frozen=True)
@@ -263,13 +267,21 @@ def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
     xi = _check_edge(graph, group, xi)
     heads, tails = graph.heads, graph.tails
     # <d mu, xi> = sum_e <mu_h - mu_t, xi_e> + <(mu_h+mu_t)/2, -[w_e, xi_e]>
-    out = np.zeros((graph.n_vertices, ALG_DIM[group]))
-    np.add.at(out, heads, xi)
-    np.add.at(out, tails, -xi)
     br = -0.5 * alg_bracket(group, omega, xi)
-    np.add.at(out, heads, br)
-    np.add.at(out, tails, br)
+    out = _vertex_sums(graph, group, (heads, xi), (tails, -xi), (heads, br), (tails, br))
     return project_based(graph, out)
+
+
+def _vertex_sums(graph: GraphX, group: str, *terms) -> np.ndarray:
+    """Add the rows of each (vertices, values) term into the rows of those
+    vertices.  One np.bincount over the terms in the order given: each vertex
+    sums its values in that order from 0.0, as np.add.at, term after term,
+    would."""
+    g = ALG_DIM[group]
+    index = np.concatenate([v for v, _ in terms])[:, None] * g + np.arange(g)
+    values = np.concatenate([x for _, x in terms])
+    return np.bincount(index.ravel(), values.ravel(),
+                       minlength=graph.n_vertices * g).reshape(graph.n_vertices, g)
 
 
 class GreenOperator:
@@ -334,10 +346,6 @@ class GreenOperator:
         return out
 
 
-def green(graph: GraphX, group: str, omega: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return GreenOperator(graph, group, omega).solve(v)
-
-
 def connection_form(graph: GraphX, group: str, omega: np.ndarray, xi: np.ndarray,
                     gop: GreenOperator | None = None) -> np.ndarray:
     """G_w d_w* xi: the universal connection applied to a tangent edge field."""
@@ -358,9 +366,7 @@ def ad_star(graph: GraphX, group: str, xi1: np.ndarray, eta: np.ndarray) -> np.n
     xi1 = _check_edge(graph, group, xi1)
     eta = _check_edge(graph, group, eta)
     br = -0.5 * alg_bracket(group, xi1, eta)
-    out = np.zeros((graph.n_vertices, ALG_DIM[group]))
-    np.add.at(out, graph.heads, br)
-    np.add.at(out, graph.tails, br)
+    out = _vertex_sums(graph, group, (graph.heads, br), (graph.tails, br))
     return project_based(graph, out)
 
 

@@ -1,6 +1,12 @@
 """Invariant-polynomial evaluation, fiber integration and class computations."""
+import concurrent.futures
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +340,11 @@ def _u1_2d():
     return ProductConnection.from_one_form(A, twist=2)
 
 
+def _u1_5d_antitwist():
+    w = _u1_5d()
+    return ProductConnection(w.grid, w.group, w.comps, twist=-1)
+
+
 def _su2_4d():
     g = Grid(sizes=(5, 4, 4, 4), base_axes=(0, 1))
     return ProductConnection.from_one_form(_su2_one_form(g, 33))
@@ -348,6 +359,9 @@ def _su2_circle():
 _STREAM_CASES = {
     "u1-5d-twist": (_u1_5d, "connection", "numeric", 2, 2),
     "u1-5d-twist-pair": (_u1_5d, "pair", "symbolic", 2, 2),
+    "u1-5d-twist-triple": (_u1_5d, "triple", "numeric", 2, 2),
+    "u1-5d-antitwist": (_u1_5d_antitwist, "connection", "symbolic", 2, 2),
+    "u1-5d-antitwist-pair": (_u1_5d_antitwist, "pair", "numeric", 2, 2),
     "u1-2d-twist": (_u1_2d, "connection", "numeric", 1, 1),
     "u1-2d-twist-pair": (_u1_2d, "pair", "numeric", 1, 1),
     "su2-numeric": (_su2_4d, "connection", "numeric", 2, 2),
@@ -360,11 +374,29 @@ _STREAM_CASES = {
 }
 
 
+# the slab workers: 1 runs inline; 2 and 4 take the threaded branch on any machine
+_WORKERS = [1, 2, 4]
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every microsecond, so slabs interleave as often as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
-def test_streamed_class_matches_whole_grid_oracle(monkeypatch, case, rows):
+def test_streamed_class_matches_whole_grid_oracle(monkeypatch, short_switch_interval,
+                                                 case, rows):
     """Every class form component is bit for bit the whole-grid one, at 1, 2
-    and 3 rows per slab (3 divides none of the first-axis sizes)."""
+    and 3 rows per slab (3 divides none of the first-axis sizes) and on 1, 2
+    and 4 workers.  Every case has at least two slabs, so the slabs run off
+    the calling thread exactly when there is more than one worker."""
     make, form, route, r, degree = _STREAM_CASES[case]
     w = make()
     data = {"connection": w, "pair": forward_transform(w),
@@ -375,24 +407,33 @@ def test_streamed_class_matches_whole_grid_oracle(monkeypatch, case, rows):
     row_bytes = w.comps[0][0].nbytes
     monkeypatch.setattr(chernweil, "_SLAB_BYTES", rows * row_bytes + row_bytes // 2)
     assert chernweil._slab_rows(w.grid, w.group) == rows
-    slab_sizes = []
+    slab_sizes, threads = [], set()
     traced = chernweil.eval_invariant
 
     def eval_invariant_spy(f, args, fiber=None):
         slab_sizes.append(args[0].grid.sizes[0])
+        threads.add(threading.get_ident())
         return traced(f, args, fiber)
 
     monkeypatch.setattr(chernweil, "eval_invariant", eval_invariant_spy)
-    if route == "string":
-        got = string_class(data, f, r).class_form
-    else:
-        got = caloron_class(data, f, r, symbolic_path=route == "symbolic").class_form
+    for workers in _WORKERS:
+        monkeypatch.setattr(chernweil, "_usable_cpus", lambda n=workers: n)
+        slab_sizes.clear()
+        threads.clear()
+        before = threading.active_count()
+        if route == "string":
+            got = string_class(data, f, r).class_form
+        else:
+            got = caloron_class(data, f, r, symbolic_path=route == "symbolic").class_form
 
-    assert (got.grid, got.group, got.degree) == (want.grid, want.group, want.degree)
-    assert set(got.comps) == set(want.comps)
-    for key, arr in want.comps.items():
-        assert got.comps[key].tobytes() == arr.tobytes(), key
-    assert max(slab_sizes) == rows
+        assert (got.grid, got.group, got.degree) == (want.grid, want.group, want.degree)
+        assert set(got.comps) == set(want.comps)
+        for key, arr in want.comps.items():
+            assert got.comps[key].tobytes() == arr.tobytes(), (key, workers)
+        assert max(slab_sizes) == rows
+        assert (threading.get_ident() in threads) == (workers == 1)
+        assert len(threads) <= workers
+        assert threading.active_count() == before
 
 
 def test_benchmark_grids_slab_sizes():
@@ -405,23 +446,91 @@ def test_benchmark_grids_slab_sizes():
 
 
 def test_streamed_class_memory_is_one_slab(monkeypatch):
-    """With one row per slab, the memory numpy allocates for a class stays
-    under half the connection's bytes; whole-grid forms take about 3x."""
+    """With one row per slab and one worker, the memory numpy allocates for a
+    class stays under half the connection's bytes; whole-grid forms take
+    about 3x.  Each further worker adds about one worker's slab (this module
+    has imported concurrent.futures already, so that import is not counted)."""
     g = Grid(sizes=(16, 16, 4, 16, 4), base_axes=(0, 1, 2))
     rng = np.random.default_rng(35)
     w = ProductConnection(g, U1, {a: 1j * rng.standard_normal(g.sizes)
                                   for a in range(g.dim)}, twist=1)
     input_bytes = sum(arr.nbytes for arr in w.comps.values())
     monkeypatch.setattr(chernweil, "_SLAB_BYTES", 1)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+    peaks = {}
+    for workers in _WORKERS:
+        monkeypatch.setattr(chernweil, "_usable_cpus", lambda n=workers: n)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            caloron_class(w, InvariantPolynomial(2), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[workers] = peak - base
+    assert peaks[1] < 0.5 * input_bytes
+    for workers in (2, 4):
+        assert peaks[workers] < 1.25 * workers * peaks[1]
+
+
+@pytest.mark.parametrize("workers", _WORKERS)
+def test_slab_exception_propagates_and_threads_end(monkeypatch, workers):
+    """An error in one slab's curvature comes out of caloron_class, and no
+    worker thread outlives the call."""
+    w = _u1_5d()
+    monkeypatch.setattr(chernweil, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(chernweil, "_usable_cpus", lambda: workers)
+    split = chernweil.curvature_split
+
+    def failing_split(w, rows):
+        if rows.start == 3:
+            raise RuntimeError("slab 3 failed")
+        return split(w, rows)
+
+    monkeypatch.setattr(chernweil, "curvature_split", failing_split)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="slab 3 failed"):
         caloron_class(w, InvariantPolynomial(2), 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 0.5 * input_bytes
+    assert threading.active_count() == before
+
+
+def test_worker_count_is_capped(monkeypatch):
+    """A pool has at most _MAX_WORKERS threads and never more than slabs."""
+    assert chernweil._usable_cpus() >= 1
+    pools = []
+
+    class PoolSpy(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
+    monkeypatch.setattr(chernweil, "_SLAB_BYTES", 1)
+    w = _u1_5d()  # 8 slabs of one row
+    for cpus, want in ((64, 4), (3, 3), (1, None)):
+        monkeypatch.setattr(chernweil, "_usable_cpus", lambda n=cpus: n)
+        pools.clear()
+        caloron_class(w, InvariantPolynomial(2), 2)
+        assert pools == ([want] if want else [])
+
+
+def test_single_slab_class_loads_no_pool():
+    """A one-slab class (the 4^6 SU(2) grid) runs inline: concurrent.futures
+    is never imported."""
+    script = (
+        "import sys\n"
+        "from caloron.chernweil import InvariantPolynomial, caloron_class\n"
+        "from caloron.lattice import SU2, Grid, sample\n"
+        "from caloron.transform import ProductConnection\n"
+        "g = Grid(sizes=(4,) * 6, base_axes=(0, 1, 2, 3))\n"
+        "A = sample('su2_band_limited', g, SU2, {'max_mode': 1}, seed=1)\n"
+        "caloron_class(ProductConnection.from_one_form(A), InvariantPolynomial(2), 2)\n"
+        "print('concurrent.futures' in sys.modules)\n")
+    src = Path(chernweil.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def _np_trace(X):

@@ -583,6 +583,21 @@ def _zero_connection_doc() -> dict:
         ProductConnection.zero(grid, U1))))
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that json.dumps writes with its pairs as given, so one
+    key can appear twice in the text."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self._pairs = pairs
+
+    def items(self):
+        return iter(self._pairs)
+
+
+_ZERO_COMPONENTS = _zero_connection_doc()["components"]
+
+
 @pytest.mark.parametrize("path,value", [
     (("grid", "sizes"), [4, "x", 4]),
     (("twist",), "a"),
@@ -598,6 +613,8 @@ def _zero_connection_doc() -> dict:
     (("components", "1", 0, 0, 0), ["0.25", 0.0]),
     (("components", "1"), [[[[True, False]] * 4] * 4] * 4),
     (("components", "1", 0, 0, 0), [True, False]),
+    (("components",), _RepeatedKeys([("0", _ZERO_COMPONENTS["1"]),
+                                      *_ZERO_COMPONENTS.items()])),
 ])
 def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     doc = _zero_connection_doc()

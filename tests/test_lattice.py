@@ -103,6 +103,62 @@ def test_central_difference_harmonic():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
+def _roll_difference(arr, axis, spacing):
+    """The central-difference oracle: two rolled copies, subtracted and divided."""
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.25, -3.5])
+_AXIS_LENGTHS = (1, 2, 3, 4, 7)
+
+
+def _difference_inputs(shape, dtype, rng):
+    """Arrays of `shape` with entries from _EDGE_VALUES: contiguous, a
+    transposed view, a strided view and a read-only broadcast zero."""
+    def draw(shape):
+        out = np.empty(shape, dtype)
+        out.real = rng.choice(_EDGE_VALUES, size=shape)
+        if dtype == complex:
+            out.imag = rng.choice(_EDGE_VALUES, size=shape)
+        return out
+
+    yield draw(shape)
+    yield np.transpose(draw(shape[::-1]))
+    yield draw(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    yield np.broadcast_to(np.zeros((), dtype), shape)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_central_difference_matches_roll_oracle(dim, dtype):
+    """Bit for bit the np.roll formula on every axis, for axis lengths 1 to 7,
+    IEEE edge values, non-contiguous and broadcast inputs, and rows of axis 0
+    that wrap at either end or both."""
+    rng = np.random.default_rng(dim)
+    # each axis sees each length once across the shapes
+    shapes = [tuple(_AXIS_LENGTHS[(i + j) % 5] for j in range(dim)) for i in range(5)]
+    checked = 0
+    with np.errstate(invalid="ignore"):
+        for shape in shapes:
+            n = shape[0]
+            row_sets = [slice(None), slice(0, 1), slice(n - 1, n), slice(1, max(n - 1, 1)),
+                        slice(0, (n + 1) // 2), slice(n // 2, n)]
+            for arr in _difference_inputs(shape, dtype, rng):
+                for axis in range(dim):
+                    want = _roll_difference(arr, axis, 0.3)
+                    for rows in row_sets:
+                        got = lat.central_difference(arr, axis, 0.3, rows)
+                        assert (got.dtype, got.shape) == (want.dtype, want[rows].shape)
+                        assert got.tobytes() == want[rows].tobytes(), (shape, axis, rows)
+                        checked += 1
+    assert checked > 100
+
+
+def test_central_difference_rows_need_step_one():
+    with pytest.raises(ValueError):
+        lat.central_difference(np.zeros((4, 4)), 0, 1.0, slice(0, 4, 2))
+
+
 def test_ext_deriv_analytic():
     errs = []
     for n in (32, 64):

@@ -15,7 +15,6 @@ from caloron.universal import (
     adjoint_cov_deriv,
     connection_form,
     cov_deriv,
-    green,
     horizontal_project,
     parse_graph,
     project_based,
@@ -204,7 +203,7 @@ def test_green_hand_oracle_ring4():
     Linv = 0.25 * np.array([[3.0, 2, 1], [2, 4, 2], [1, 2, 3]])
     rng = np.random.default_rng(1)
     v = project_based(g, rng.standard_normal((4, 1)))
-    out = green(g, U1, omega, v)
+    out = GreenOperator(g, U1, omega).solve(v)
     assert np.max(np.abs(out[1:, 0] - Linv @ v[1:, 0])) < 1e-12
     assert out[0, 0] == 0.0
 
@@ -255,6 +254,52 @@ def test_ad_star_antisymmetry_and_pairing():
     rhs = np.sum(eta * uni.alg_bracket(SU2, xi, 0.5 * (mu[heads] + mu[tails])))
     lhs = np.sum(ad_star(g, SU2, xi, eta) * mu)
     assert abs(lhs - rhs) < 1e-12
+
+
+def _add_at_adjoint(graph, group, omega, xi):
+    """The scatter oracle for adjoint_cov_deriv: four np.add.at calls."""
+    out = np.zeros((graph.n_vertices, uni.ALG_DIM[group]))
+    np.add.at(out, graph.heads, xi)
+    np.add.at(out, graph.tails, -xi)
+    br = -0.5 * (np.zeros(xi.shape) if group == U1 else -2.0 * np.cross(omega, xi))
+    np.add.at(out, graph.heads, br)
+    np.add.at(out, graph.tails, br)
+    return project_based(graph, out)
+
+
+def _add_at_ad_star(graph, xi1, eta):
+    """The scatter oracle for su(2) ad_star: two np.add.at calls."""
+    out = np.zeros((graph.n_vertices, 3))
+    br = -0.5 * (-2.0 * np.cross(xi1, eta))
+    np.add.at(out, graph.heads, br)
+    np.add.at(out, graph.tails, br)
+    return project_based(graph, out)
+
+
+_EDGE_ENTRIES = np.array([0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, -3.0, 7.5])
+
+
+@pytest.mark.parametrize("spec", ["ring:8", "ring:64", "torus:8:8", "torus:5:7"])
+def test_vertex_sums_match_add_at_oracle_bit_for_bit(spec):
+    """adjoint_cov_deriv, ad_star and the su(2) bracket give the bytes of
+    np.add.at and np.cross, on normal draws and on signed zeros, a subnormal
+    and entries whose products overflow."""
+    g = parse_graph(spec)
+    rng = np.random.default_rng(len(spec))
+    for draw in (lambda shape: rng.standard_normal(shape),
+                 lambda shape: rng.choice(_EDGE_ENTRIES, size=shape)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for group in (U1, SU2):
+                dim = uni.ALG_DIM[group]
+                omega, xi = draw((g.n_edges, dim)), draw((g.n_edges, dim))
+                got = adjoint_cov_deriv(g, group, omega, xi)
+                assert got.tobytes() == _add_at_adjoint(g, group, omega, xi).tobytes()
+            assert ad_star(g, SU2, omega, xi).tobytes() == \
+                _add_at_ad_star(g, omega, xi).tobytes()
+            assert uni.alg_bracket(SU2, omega, xi).tobytes() == \
+                (-2.0 * np.cross(omega, xi)).tobytes()
+            assert uni.alg_bracket(SU2, omega[:, None, :], np.eye(3)).tobytes() == \
+                (-2.0 * np.cross(omega[:, None, :], np.eye(3))).tobytes()
 
 
 def test_curvature_requires_horizontal():

@@ -29,7 +29,6 @@ from .lattice import (
     value_shape,
 )
 from .transform import (
-    CurvatureTriple,
     GaugeGroupConnection,
     HiggsFieldMap,
     ProductConnection,
@@ -160,9 +159,9 @@ def fiber_integrate(w: FormField) -> FormField:
 
     Components carrying fewer fiber indices than dim X map to zero; the rest
     lose their fiber indices and keep the base block.  The result holds every
-    component of its degree.  caloron_class and string_class do the same
-    arithmetic one slab of base axis 0 at a time, never holding the whole
-    product-grid form this takes.
+    component of its degree.  caloron_class does the same arithmetic one slab
+    of base axis 0 at a time, never holding the whole product-grid form this
+    takes.
     """
     out = _zero_base_form(w.grid, w.degree)
     _add_fiber_means(w, out.comps, slice(None))
@@ -218,10 +217,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fiber_integral(grid: Grid, group: str, blocks, density, degree: int) -> FormField:
+def _fiber_integral(w: ProductConnection, density, degree: int) -> FormField:
     """Fiber integral of the degree-`degree` scalar form density(triple),
-    streamed over slabs of base axis 0; `blocks(rows)` is the curvature
-    triple on the points `rows`.
+    where triple is the curvature of w, streamed over slabs of base axis 0.
 
     The fiber integral at a base point needs the curvature only there, and
     the curvature there needs the connection only at that point and its
@@ -237,12 +235,12 @@ def _fiber_integral(grid: Grid, group: str, blocks, density, degree: int) -> For
     thread runs which slab, or when.  An exception in a slab cancels the
     slabs not yet started and is raised here once the running ones end.
     """
-    out = _zero_base_form(grid, degree)
-    n0, step = grid.sizes[0], _slab_rows(grid, group)
+    out = _zero_base_form(w.grid, degree)
+    n0, step = w.grid.sizes[0], _slab_rows(w.grid, w.group)
     slabs = [slice(s0, min(s0 + step, n0)) for s0 in range(0, n0, step)]
 
     def add_slab(rows):
-        _add_fiber_means(density(blocks(rows)), out.comps, rows)
+        _add_fiber_means(density(curvature_split(w, rows)), out.comps, rows)
 
     workers = min(_usable_cpus(), len(slabs), _MAX_WORKERS)
     if workers == 1:
@@ -291,43 +289,32 @@ class CaloronClassReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _curvature_slabs(data) -> tuple:
-    """Accept a ProductConnection, a CurvatureTriple or an (A, Phi) pair;
-    return (grid, group, blocks), where blocks(rows) is the curvature triple on
-    the points `rows` of base axis 0.  A pair is reassembled into its
-    connection, which shares its arrays."""
-    if isinstance(data, CurvatureTriple):
-        grid = data.F_A.grid
-
-        def triple_rows(rows):
-            return CurvatureTriple(*(
-                FormField(grid.slab(rows), F.group, F.degree,
-                          {key: arr[rows] for key, arr in F.comps.items()})
-                for F in (data.F_A, data.F_Phi, data.NablaPhi)))
-
-        return grid, data.F_A.group, triple_rows
+def _connection(data) -> ProductConnection:
+    """Accept a ProductConnection or an (A, Phi) pair; a pair is reassembled
+    into its connection, which shares its arrays."""
     if isinstance(data, (tuple, list)) and \
             tuple(map(type, data)) == (GaugeGroupConnection, HiggsFieldMap):
         data = inverse_transform(*data)
     if type(data) is not ProductConnection:
-        raise ShapeError("expected a ProductConnection, a CurvatureTriple or a "
+        raise ShapeError("expected a ProductConnection or a "
                          "(GaugeGroupConnection, HiggsFieldMap) pair")
-    return data.grid, data.group, lambda rows: curvature_split(data, rows)
+    return data
 
 
 def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = None,
                   symbolic_path: bool = False) -> CaloronClassReport:
     """Fiber-integrated bidegree-(2k-d, d) part of f applied to the total curvature.
 
-    `data` is a ProductConnection, an (A, Phi) pair or a CurvatureTriple.
-    `cycles` is a list of (name, axes-of-the-base, basepoint) entries; pairings
-    are reported for each.  With symbolic_path=True the exact integrand words
-    are evaluated term by term instead of filtering numerically.  The
-    curvature, the integrand and its fiber mean are computed one slab of base
-    axis 0 at a time, so no whole product-grid form is held; the class form
-    is bit for bit that of the whole-grid computation.
+    `data` is a ProductConnection or an (A, Phi) pair.  `cycles` is a list of
+    (name, axes-of-the-base, basepoint) entries; pairings are reported for
+    each.  With symbolic_path=True the exact integrand words are evaluated
+    term by term instead of filtering numerically.  The curvature, the
+    integrand and its fiber mean are computed one slab of base axis 0 at a
+    time, so no whole product-grid form is held; the class form is bit for
+    bit that of the whole-grid computation.
     """
-    grid, group, blocks = _curvature_slabs(data)
+    w = _connection(data)
+    grid = w.grid
     d = len(grid.fiber_axes)
     if (r + d) % 2 != 0:
         raise ParityError(f"class degree r={r} and fiber dimension d={d} "
@@ -356,7 +343,7 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
         def density(triple):
             return eval_invariant(f, [triple.total()] * k, fiber=d)
 
-    class_form = _fiber_integral(grid, group, blocks, density, 2 * k)
+    class_form = _fiber_integral(w, density, 2 * k)
     residual = closedness_residual(class_form)
     pairings = []
     for name, axes, basepoint in (cycles or []):
@@ -364,33 +351,18 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
     return CaloronClassReport(
         r=r, d=d, k=k, class_form=class_form, pairings=pairings,
         closedness_residual=residual, degree_overflow=overflow,
-        metadata={"group": group, "sizes": grid.sizes, "kind": f.kind,
+        metadata={"group": w.group, "sizes": grid.sizes, "kind": f.kind,
                   "path": "symbolic" if symbolic_path else "numeric"},
     )
 
 
 def string_class(data, f: InvariantPolynomial, k: int,
                  cycles: list | None = None) -> CaloronClassReport:
-    """k * f(F_A^{k-1} NablaPhi) fiber-integrated over a circle fiber,
-    streamed over slabs of base axis 0 as caloron_class is."""
-    grid, group, blocks = _curvature_slabs(data)
-    if len(grid.fiber_axes) != 1:
+    """The string class: the degree-(2k-1) caloron class of a circle fiber.
+
+    For d = 1 the caloron integrand is the single word k * F_A^{k-1} NablaPhi,
+    so this is caloron_class's symbolic path, bit for bit."""
+    w = _connection(data)
+    if len(w.grid.fiber_axes) != 1:
         raise DomainError("string classes need a 1-dimensional fiber")
-    if f.degree != k:
-        raise ArityError(f"polynomial degree {f.degree} != k={k}")
-
-    def density(triple):
-        args = [triple.F_A] * (k - 1) + [triple.NablaPhi]
-        return float(k) * eval_invariant(f, args, fiber=1)
-
-    class_form = _fiber_integral(grid, group, blocks, density, 2 * k)
-    pairings = []
-    for name, axes, basepoint in (cycles or []):
-        pairings.append((name, pair_with_cycle(class_form, axes, basepoint)))
-    return CaloronClassReport(
-        r=2 * k - 1, d=1, k=k, class_form=class_form, pairings=pairings,
-        closedness_residual=closedness_residual(class_form),
-        degree_overflow=2 * k > grid.dim,
-        metadata={"group": group, "sizes": grid.sizes, "kind": f.kind,
-                  "path": "string"},
-    )
+    return caloron_class(w, f, 2 * k - 1, cycles, symbolic_path=True)

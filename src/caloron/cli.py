@@ -35,19 +35,9 @@ def _write_report(report: dict, path: str | None) -> None:
 
 
 def cmd_expand(args) -> int:
-    d, k = args.fiber_dim, args.poly_degree
     try:
-        if args.table:
-            expr = symbolic.table_fixture(d, k)
-        elif args.abelian:
-            expr = symbolic.abelian_closed_form(d, k)
-        elif args.string:
-            expr = symbolic.string_class_integrand(k)
-        elif args.low_degree is not None:
-            expr = symbolic.canonicalize(symbolic.low_degree_formula(args.low_degree, d))
-        else:
-            expr = symbolic.caloron_integrand(d, k)
-    except (CaloronError, KeyError) as exc:
+        expr = symbolic.caloron_integrand(args.fiber_dim, args.poly_degree)
+    except CaloronError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.json:
@@ -154,6 +144,8 @@ def cmd_classes(args) -> int:
     start = time.time()
     try:
         cfg = SceneConfig(load_config(args.config))
+        if args.refine:
+            cfg.check_size(cfg.grid.refine(2))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -322,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("expand", help="print a caloron class integrand")
     pe.add_argument("--fiber-dim", type=int, required=True, dest="fiber_dim")
     pe.add_argument("--poly-degree", type=int, required=True, dest="poly_degree")
-    pe.add_argument("--abelian", action="store_true")
-    pe.add_argument("--string", action="store_true")
-    pe.add_argument("--table", action="store_true")
-    pe.add_argument("--low-degree", type=int, default=None, dest="low_degree")
     pe.add_argument("--latex", action="store_true")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_expand)

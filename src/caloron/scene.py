@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from math import prod
 
-import numpy as np
-
-from .errors import ConfigError
-from .lattice import SU2, TWO_PI, U1, FormField, Grid, sample
+from .errors import ConfigError, SizeLimitError
+from .lattice import SU2, TWO_PI, U1, FormField, Grid, sample, value_shape
 from .transform import ProductConnection
 
 DEFAULT_LENGTH = TWO_PI
+
+# bytes of a scene's sampled connection: one complex array per axis
+MAX_CONNECTION_BYTES = 2 ** 30
 
 
 def parse_config_text(text: str) -> dict:
@@ -70,6 +72,7 @@ class SceneConfig:
         self.group = raw.get("group", U1)
         if self.group not in (U1, SU2):
             raise ConfigError(f"unknown group {self.group!r}")
+        self.check_size(self.grid)
         self.family = raw.get("family", "zero")
         self.max_mode = _number(int, raw.get("family.max_mode", 2))
         self.seed = _number(int, raw.get("seed", 0))
@@ -86,6 +89,15 @@ class SceneConfig:
         self.tol_pairing = _number(float, raw.get("tol.pairing", 1e-8))
         self.expect_pairing = (_number(float, raw["expect.pairing"])
                                if "expect.pairing" in raw else None)
+
+    def check_size(self, grid: Grid) -> None:
+        """Raise SizeLimitError, before anything is sampled, when this scene's
+        connection on `grid` would take more than MAX_CONNECTION_BYTES."""
+        nbytes = 16 * grid.dim * prod(grid.sizes + value_shape(self.group))
+        if nbytes > MAX_CONNECTION_BYTES:
+            raise SizeLimitError(f"connection of {nbytes / 2**20:.0f} MiB on grid "
+                                 f"{grid.sizes} exceeds the limit of "
+                                 f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
 
     def build_connection(self, grid: Grid | None = None) -> ProductConnection:
         grid = grid or self.grid

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, ShapeError, SingularOperatorError,
                      SizeLimitError)
-from .lattice import SU2, U1
+from .lattice import SU2, U1, group_exp, su2_coords, su2_from_coords
 
 MAX_VERTICES = 2 ** 16
 
@@ -454,7 +454,6 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
     if group == U1:
         q = FiberPoint(vertex=1 % graph.n_vertices, element=np.exp(0.3j))
     else:
-        from .lattice import group_exp, su2_from_coords
         q = FiberPoint(vertex=1 % graph.n_vertices,
                        element=group_exp(SU2, su2_from_coords(np.array([0.2, -0.1, 0.4]))))
     z1 = FiberTangent(edge=0, magnitude=1.0)
@@ -478,24 +477,17 @@ class FiberPoint:
 
 @dataclass
 class FiberTangent:
-    """Lattice tangent at a fiber point: an outgoing edge id with a magnitude for
-    the base direction, plus a vertical algebra coordinate."""
+    """Horizontal lattice tangent at a fiber point: an outgoing edge id with a
+    magnitude for the base direction."""
 
     edge: int
     magnitude: float = 0.0
-    vertical: np.ndarray = None
-
-    def vertical_part(self, group: str) -> np.ndarray:
-        if self.vertical is None:
-            return np.zeros(ALG_DIM[group])
-        return np.asarray(self.vertical, dtype=float)
 
 
 def _ad_inverse(group: str, element, value: np.ndarray) -> np.ndarray:
     """Ad_{U^{-1}} on algebra coordinates."""
     if group == U1:
         return value
-    from .lattice import su2_coords, su2_from_coords
     U = np.asarray(element, dtype=complex)
     X = su2_from_coords(value)
     return su2_coords(np.conj(U.T) @ X @ U)
@@ -511,17 +503,6 @@ def pair_edge_with_tangent(graph: GraphX, group: str, xi: np.ndarray,
     xi = _check_edge(graph, group, xi)
     val = zeta.magnitude * xi[zeta.edge]
     return _ad_inverse(group, q.element, val)
-
-
-def universal_caloron_connection(graph: GraphX, group: str, omega: np.ndarray,
-                                 q: FiberPoint, xi: np.ndarray, zeta: FiberTangent,
-                                 gop: GreenOperator | None = None) -> np.ndarray:
-    """G_w d_w*(q)(xi) + w_q(zeta): based-field evaluation at the fiber point plus
-    the vertical coordinate of zeta (the lattice w-evaluation annihilates the
-    horizontal base direction by construction)."""
-    mu = connection_form(graph, group, omega, xi, gop)
-    first = _ad_inverse(group, q.element, mu[q.vertex])
-    return first + zeta.vertical_part(group)
 
 
 def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray,
@@ -557,22 +538,13 @@ def universal_curvature_full(graph: GraphX, group: str, omega: np.ndarray,
                              gop: GreenOperator | None = None) -> np.ndarray:
     """Total universal curvature on a pair of (edge field, fiber tangent) vectors:
     G_w ad*_{xi1}(xi2) at q, plus F_w(q)(z1, z2), plus the mixed term
-    (xi1(z2) - xi2(z1) - w([z1, z2])) / 2."""
+    (xi1(z2) - xi2(z1)) / 2.  A FiberTangent has no vertical part, so the
+    bracket of vertical parts in that term is zero and left out."""
     xi1, z1 = V1
     xi2, z2 = V2
-    _require_horizontal(graph, group, omega, xi1)
-    _require_horizontal(graph, group, omega, xi2)
-    if group == U1:
-        first = np.zeros((graph.n_vertices, 1))
-    else:
-        gop = gop or GreenOperator(graph, group, omega)
-        first = gop.solve(ad_star(graph, group, xi1, xi2))
+    first = universal_curvature_FA(graph, group, omega, xi1, xi2, gop)
     term1 = _ad_inverse(group, q.element, first[q.vertex])
     term2 = _omega_plaquette_curvature(graph, group, omega, q, z1, z2)
-    # horizontal fiber tangents have zero vertical coordinate, so the bracket of
-    # their vertical parts vanishes; kept for non-horizontal diagnostics
-    br = alg_bracket(group, z1.vertical_part(group), z2.vertical_part(group))
     term3 = 0.5 * (pair_edge_with_tangent(graph, group, xi1, q, z2)
-                   - pair_edge_with_tangent(graph, group, xi2, q, z1)
-                   - br)
+                   - pair_edge_with_tangent(graph, group, xi2, q, z1))
     return term1 + term2 + term3

@@ -24,7 +24,7 @@ from caloron.chernweil import (
     pair_with_cycle,
     string_class,
 )
-from caloron.errors import ArityError, DegreeError, DomainError, ParityError
+from caloron.errors import ArityError, DegreeError, DomainError, ParityError, ShapeError
 from caloron.lattice import SCALAR, SU2, U1, FormField, Grid
 from caloron.transform import (
     CurvatureTriple,
@@ -240,6 +240,17 @@ def test_string_class_needs_circle_fiber():
         string_class(ProductConnection.zero(g, U1), InvariantPolynomial(2), 2)
 
 
+def test_class_routines_reject_curvature_triple():
+    """The class routines take a connection or an (A, Phi) pair, not its
+    curvature."""
+    g = Grid(sizes=(6, 6, 6), base_axes=(0, 1))
+    triple = curvature_split(ProductConnection.zero(g, U1, twist=1))
+    with pytest.raises(ShapeError):
+        caloron_class(triple, InvariantPolynomial(1), 1)
+    with pytest.raises(ShapeError):
+        string_class(triple, InvariantPolynomial(1), 1)
+
+
 def test_closedness_residual_top_degree_convention():
     g = Grid(sizes=(6, 6))
     w = FormField(g, SCALAR, 2, {(0, 1): np.random.default_rng(17).standard_normal(g.sizes)})
@@ -295,8 +306,6 @@ def _nabla_phi_oracle(a, phi):
 def _whole_grid_triple(data):
     """The curvature triple on the whole product grid: ext_deriv, half the
     graded bracket [A, A] and the twist background."""
-    if isinstance(data, CurvatureTriple):
-        return data
     w = data if isinstance(data, ProductConnection) else inverse_transform(*data)
     A = w.one_form()
     F = lat.ext_deriv(A)
@@ -359,7 +368,6 @@ def _su2_circle():
 _STREAM_CASES = {
     "u1-5d-twist": (_u1_5d, "connection", "numeric", 2, 2),
     "u1-5d-twist-pair": (_u1_5d, "pair", "symbolic", 2, 2),
-    "u1-5d-twist-triple": (_u1_5d, "triple", "numeric", 2, 2),
     "u1-5d-antitwist": (_u1_5d_antitwist, "connection", "symbolic", 2, 2),
     "u1-5d-antitwist-pair": (_u1_5d_antitwist, "pair", "numeric", 2, 2),
     "u1-2d-twist": (_u1_2d, "connection", "numeric", 1, 1),
@@ -367,7 +375,6 @@ _STREAM_CASES = {
     "su2-numeric": (_su2_4d, "connection", "numeric", 2, 2),
     "su2-symbolic": (_su2_4d, "connection", "symbolic", 2, 2),
     "su2-pair": (_su2_4d, "pair", "numeric", 2, 2),
-    "su2-triple": (_su2_4d, "triple", "symbolic", 2, 2),
     "string": (_su2_circle, "connection", "string", 2, 2),
     "string-pair": (_su2_circle, "pair", "string", 2, 2),
     "overflow": (_u1_2d, "connection", "numeric", 3, 2),
@@ -399,8 +406,7 @@ def test_streamed_class_matches_whole_grid_oracle(monkeypatch, short_switch_inte
     the calling thread exactly when there is more than one worker."""
     make, form, route, r, degree = _STREAM_CASES[case]
     w = make()
-    data = {"connection": w, "pair": forward_transform(w),
-            "triple": curvature_split(w)}[form]
+    data = {"connection": w, "pair": forward_transform(w)}[form]
     f = InvariantPolynomial(degree)
     want = _whole_grid_class(data, f, route, r)
 
@@ -543,7 +549,6 @@ _SU2_TRACE_CASES = {
     "numeric": (_su2_4d, "connection", "numeric"),
     "symbolic": (_su2_4d, "connection", "symbolic"),
     "pair": (_su2_4d, "pair", "numeric"),
-    "triple": (_su2_4d, "triple", "symbolic"),
     "string": (_su2_circle, "connection", "string"),
     "string-pair": (_su2_circle, "pair", "string"),
 }
@@ -555,8 +560,7 @@ def test_su2_class_forms_match_np_trace_oracle(monkeypatch, case):
     traces are taken by np.trace."""
     make, form, route = _SU2_TRACE_CASES[case]
     w = make()
-    data = {"connection": w, "pair": forward_transform(w),
-            "triple": curvature_split(w)}[form]
+    data = {"connection": w, "pair": forward_transform(w)}[form]
     f = InvariantPolynomial(2)
 
     def class_form():

@@ -4,8 +4,10 @@ import gc
 import hashlib
 import json
 import re
+import shlex
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from caloron import cli, lattice as lat, serialize, universal
 from caloron.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform, main
-from caloron.errors import ConfigError, ShapeError, SingularOperatorError
+from caloron.errors import ConfigError, ShapeError, SingularOperatorError, SizeLimitError
 from caloron.lattice import SCALAR, SU2, U1, FormField, Grid, LinkField
-from caloron.scene import SceneConfig, parse_config_text, report_hash
+from caloron.scene import MAX_CONNECTION_BYTES, SceneConfig, parse_config_text, report_hash
 from caloron.transform import ProductConnection, forward_transform
 
 
@@ -199,6 +201,34 @@ def test_expand_out_of_range_exit_code(capsys):
     assert main(["expand", "--fiber-dim", "9", "--poly-degree", "4"]) == \
         EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--abelian"], ["--string"], ["--table"],
+                                  ["--low-degree", "2"]])
+def test_expand_has_no_variant_options(capsys, flag):
+    """expand prints caloron_integrand(d, k) only; the variants it once
+    offered printed the same bytes where they were valid."""
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--fiber-dim", "2", "--poly-degree", "2"] + flag)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands() -> list:
+    """The `caloron ...` lines of README's command-line block, split as a
+    shell splits them (comments dropped)."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("caloron ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == \
+        {"expand", "transform", "classes", "universal", "selftest"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
 
 
 def test_transform_round_trip(tmp_path, capsys):
@@ -562,6 +592,35 @@ def test_transform_output_hash_pinned(tmp_path, group, seed, want_pair, want_bac
         assert not re.search(r"-0\.0[,\]]|Infinity|NaN", path.read_text())
     assert hashlib.sha256(pair.read_bytes()).hexdigest() == want_pair
     assert hashlib.sha256(back.read_bytes()).hexdigest() == want_back
+
+
+@pytest.mark.parametrize("scene,refine", [
+    ("base.sizes = 4096,4096\nfiber.sizes = 4096,4096\n", False),
+    ("base.sizes = 64,64\nfiber.sizes = 64,64\ngroup = su2\n", False),
+    # 2^23 points: 512 MiB for the u1 connection, 8 GiB refined
+    ("base.sizes = 64,64\nfiber.sizes = 64,32\n", True),
+], ids=["u1-4096^4", "su2-64^4", "u1-refined"])
+def test_classes_connection_size_limit_exit_code(tmp_path, capsys, scene, refine):
+    """A scene whose connection would exceed MAX_CONNECTION_BYTES exits 2
+    before anything is sampled."""
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(scene + "family = u1_harmonic\nclasses = 0\n")
+    start = time.perf_counter()
+    assert main(["classes", "--config", str(cfg)] + ["--refine"] * refine) == \
+        EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group,fiber", [(U1, "64,64"), (SU2, "32,32")])
+def test_scene_config_at_size_limit(group, fiber):
+    """A grid whose connection takes exactly MAX_CONNECTION_BYTES builds its
+    SceneConfig; one more point along an axis does not."""
+    cfg = SceneConfig({"base.sizes": "64,64", "fiber.sizes": fiber, "group": group})
+    nbytes = 16 * 4 * int(np.prod(cfg.grid.sizes)) * (4 if group == SU2 else 1)
+    assert nbytes == MAX_CONNECTION_BYTES
+    with pytest.raises(SizeLimitError):
+        SceneConfig({"base.sizes": "65,64", "fiber.sizes": fiber, "group": group})
 
 
 def test_classes_max_mode_bound_exit_code(tmp_path, capsys):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import prod
+from math import isfinite, prod
 
 from .errors import ConfigError, SizeLimitError
 from .lattice import SU2, TWO_PI, U1, FormField, Grid, sample, value_shape
@@ -86,9 +86,16 @@ class SceneConfig:
             if (r + d) % 2 != 0:
                 raise ConfigError(f"class degree r={r} and fiber dimension d={d} "
                                   "must have the same parity")
+        # a NaN, infinite or negative bound would fail or pass every pairing
         self.tol_pairing = _number(float, raw.get("tol.pairing", 1e-8))
+        if not (isfinite(self.tol_pairing) and self.tol_pairing >= 0.0):
+            raise ConfigError("tol.pairing must be a finite non-negative number, "
+                              f"got {raw['tol.pairing']!r}")
         self.expect_pairing = (_number(float, raw["expect.pairing"])
                                if "expect.pairing" in raw else None)
+        if self.expect_pairing is not None and not isfinite(self.expect_pairing):
+            raise ConfigError("expect.pairing must be a finite number, "
+                              f"got {raw['expect.pairing']!r}")
 
     def check_size(self, grid: Grid) -> None:
         """Raise SizeLimitError, before anything is sampled, when this scene's

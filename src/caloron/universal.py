@@ -13,9 +13,9 @@ Consecutive levels are merged into blocks of at least _MIN_BLOCK unknowns; the
 diagonal and coupling blocks are summed straight from per-edge blocks and
 factored by block Cholesky (George & Liu, 1981), so storage grows with the sum
 of squared block sizes, not with n^2.  Each solve is 2K matrix-vector
-products over the K blocks.  Graphs are capped at MAX_VERTICES vertices before
-any edge list is built, and at MAX_FACTOR_BYTES of factor before any block is
-allocated.
+products over the K blocks, checked against adjoint_cov_deriv of cov_deriv.
+Graphs are capped at MAX_VERTICES vertices before any edge list is built, and
+at MAX_FACTOR_BYTES of factor before any block is allocated.
 
 Algebra values are stored in real coordinates: 1 per point for u(1)
 (coefficient of i) and 3 for su(2) (coefficients of i*sigma_j); the invariant
@@ -34,8 +34,12 @@ from .lattice import SU2, U1, group_exp, su2_coords, su2_from_coords
 
 MAX_VERTICES = 2 ** 16
 
-# bytes of the Green factor: the D_k, E_k, C_k^{-1} and W_k blocks together
+# bytes of the Green factor, counted as the D_k, E_k, C_k^{-1} and W_k blocks
+# together; C_k^{-1} and W_k overwrite D_k and E_k, so the factor holds half
 MAX_FACTOR_BYTES = 2 ** 30
+
+# relative residual a Green solve must meet: |L x - b| <= SOLVE_TOLERANCE max(|b|, 1)
+SOLVE_TOLERANCE = 1e-10
 
 # fewest unknowns per factor block; consecutive levels merge until a block has them
 _MIN_BLOCK = 32
@@ -50,8 +54,12 @@ def alg_bracket(group: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # np.cross's component differences, in its order, without its axis moves
     x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
     y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    return -2.0 * np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0],
-                           axis=-1)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    np.subtract(x1 * y2, x2 * y1, out=out[..., 0])
+    np.subtract(x2 * y0, x0 * y2, out=out[..., 1])
+    np.subtract(x0 * y1, x1 * y0, out=out[..., 2])
+    out *= -2.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,12 @@ class GraphX:
     def heads(self) -> np.ndarray:
         return np.array([h for _, h in self.edges], dtype=np.intp)
 
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Each edge's head, then each edge's tail: where _vertex_sums adds
+        a pair of edge fields."""
+        return np.concatenate((self.heads, self.tails))
+
     @classmethod
     def ring(cls, n: int, basepoint: int = 0) -> "GraphX":
         _check_vertex_count(n)
@@ -146,7 +160,9 @@ def _check_vertex_count(n: int) -> None:
 
 
 def parse_graph(spec: str) -> GraphX:
-    """Parse 'ring:n' or 'torus:nx:ny'."""
+    """Parse 'ring:n' or 'torus:nx:ny', sizes in canonical decimal.  int() alone
+    would also read "+5", " 5", "05", "1_000" and non-ASCII digits, so one
+    graph would have several specs, and reports several hashes."""
     kind, *sizes = spec.split(":")
     if (kind, len(sizes)) not in (("ring", 1), ("torus", 2)):
         raise ConfigError(f"unknown graph spec {spec!r}")
@@ -154,6 +170,9 @@ def parse_graph(spec: str) -> GraphX:
         sizes = [int(x) for x in sizes]
     except ValueError:
         raise ConfigError(f"graph spec {spec!r}: sizes must be integers") from None
+    canonical = ":".join([kind, *map(str, sizes)])
+    if canonical != spec:
+        raise ConfigError(f"graph spec {spec!r} must be written {canonical!r}")
     return GraphX.ring(*sizes) if kind == "ring" else GraphX.torus(*sizes)
 
 
@@ -265,23 +284,23 @@ def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
     """Exact inner-product adjoint of cov_deriv, projected to based fields."""
     omega = _check_edge(graph, group, omega)
     xi = _check_edge(graph, group, xi)
-    heads, tails = graph.heads, graph.tails
     # <d mu, xi> = sum_e <mu_h - mu_t, xi_e> + <(mu_h+mu_t)/2, -[w_e, xi_e]>
     br = -0.5 * alg_bracket(group, omega, xi)
-    out = _vertex_sums(graph, group, (heads, xi), (tails, -xi), (heads, br), (tails, br))
-    return project_based(graph, out)
+    return project_based(graph, _vertex_sums(graph, (xi, -xi), (br, br)))
 
 
-def _vertex_sums(graph: GraphX, group: str, *terms) -> np.ndarray:
-    """Add the rows of each (vertices, values) term into the rows of those
-    vertices.  One np.bincount over the terms in the order given: each vertex
-    sums its values in that order from 0.0, as np.add.at, term after term,
-    would."""
-    g = ALG_DIM[group]
-    index = np.concatenate([v for v, _ in terms])[:, None] * g + np.arange(g)
-    values = np.concatenate([x for _, x in terms])
-    return np.bincount(index.ravel(), values.ravel(),
-                       minlength=graph.n_vertices * g).reshape(graph.n_vertices, g)
+def _vertex_sums(graph: GraphX, *pairs) -> np.ndarray:
+    """Add each (at_heads, at_tails) pair of edge fields into the vertex rows:
+    row e of at_heads into edge e's head, row e of at_tails into its tail.
+    One np.bincount per component over graph.ends, once per pair: each vertex
+    sums its values in the order given from 0.0, as np.add.at, term after
+    term, would."""
+    values = np.concatenate([x for pair in pairs for x in pair])
+    index = np.concatenate([graph.ends] * len(pairs))
+    out = np.empty((graph.n_vertices, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, values[:, c], minlength=graph.n_vertices)
+    return out
 
 
 class GreenOperator:
@@ -289,60 +308,54 @@ class GreenOperator:
 
     d_w* d_w is block tridiagonal over green_blocks.  It is factored once by
     block Cholesky: S_k = D_k - W_{k-1} W_{k-1}^T, C_k = chol(S_k), and the
-    factor keeps C_k^{-1} and W_k = E_k C_k^{-T}.  Each solve is a forward and
-    a back sweep of matrix-vector products, checked by its residual against
-    the D_k and E_k."""
+    factor keeps C_k^{-1} and W_k = E_k C_k^{-T}, written over D_k and E_k.
+    Each solve is a forward and a back sweep of matrix-vector products,
+    checked by its residual against adjoint_cov_deriv of cov_deriv."""
 
-    def __init__(self, graph: GraphX, group: str, omega: np.ndarray,
-                 tolerance: float = 1e-10):
+    def __init__(self, graph: GraphX, group: str, omega: np.ndarray):
         self.graph = graph
         self.group = group
         self.omega = _check_edge(graph, group, omega)
-        self.tolerance = tolerance
         blocks = green_blocks(graph, group)
         self._order = np.concatenate(blocks)
         bounds = np.cumsum([0] + [ALG_DIM[group] * len(b) for b in blocks])
         self._slices = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
-        self._D, self._E = _laplacian_blocks(graph, group, self.omega, blocks)
-        self._cinv, self._W = [], []
-        for k, D in enumerate(self._D):
-            S = D - self._W[-1] @ self._W[-1].T if k else D
+        # each D_k is overwritten by C_k^{-1} and each E_k by W_k: a second
+        # buffer, with the first one freed, fragments the heap and raises peak RSS
+        self._cinv, self._W = _laplacian_blocks(graph, group, self.omega, blocks)
+        for k, block in enumerate(self._cinv):
+            S = block - self._W[k - 1] @ self._W[k - 1].T if k else block
             try:
                 C = np.linalg.cholesky(S)
             except np.linalg.LinAlgError:
                 raise SingularOperatorError(
                     f"based Laplacian not SPD: block {k} of {len(blocks)} has smallest "
                     f"Schur-complement eigenvalue {np.linalg.eigvalsh(S)[0]:.3e}") from None
-            self._cinv.append(np.linalg.inv(C))
-            if k < len(self._E):
-                self._W.append(self._E[k] @ self._cinv[k].T)
+            block[...] = np.linalg.inv(C)
+            if k < len(self._W):
+                self._W[k][...] = self._W[k] @ block.T
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """u with (d* d) u = v on based fields; relative residual checked."""
         v = _check_vertex(self.graph, self.group, v)
         rhs = v[self._order].ravel()
-        sl, cinv, W, D, E = self._slices, self._cinv, self._W, self._D, self._E
-        last = len(sl) - 1
-        y = np.empty_like(rhs)
-        for k, s in enumerate(sl):
-            y[s] = cinv[k] @ (rhs[s] - W[k - 1] @ y[sl[k - 1]] if k else rhs[s])
-        x = np.empty_like(rhs)
-        for k in range(last, -1, -1):
-            s = sl[k]
-            x[s] = cinv[k].T @ (y[s] - W[k].T @ x[sl[k + 1]] if k < last else y[s])
-        lx = np.empty_like(rhs)
-        for k, s in enumerate(sl):
-            lx[s] = D[k] @ x[s]
-            if k:
-                lx[s] += E[k - 1] @ x[sl[k - 1]]
-            if k < last:
-                lx[s] += E[k].T @ x[sl[k + 1]]
-        res = np.linalg.norm(lx - rhs)
-        scale = max(np.linalg.norm(rhs), 1.0)
-        if res > self.tolerance * scale:
-            raise SingularOperatorError(f"Green solve residual {res:.3e} above tolerance")
+        y, x = np.empty_like(rhs), np.empty_like(rhs)
+        rs, ys, xs = ([a[s] for s in self._slices] for a in (rhs, y, x))
+        cinv, W = self._cinv, self._W
+        np.matmul(cinv[0], rs[0], out=ys[0])
+        for c, w, r, y_prev, y_k in zip(cinv[1:], W, rs[1:], ys, ys[1:]):
+            np.matmul(c, r - w @ y_prev, out=y_k)
+        np.matmul(cinv[-1].T, ys[-1], out=xs[-1])
+        for c, w, y_k, x_next, x_k in zip(cinv[-2::-1], W[::-1], ys[-2::-1],
+                                          xs[::-1], xs[-2::-1]):
+            np.matmul(c.T, y_k - w.T @ x_next, out=x_k)
         out = np.zeros((self.graph.n_vertices, ALG_DIM[self.group]))
         out[self._order] = x.reshape(len(self._order), -1)
+        graph, group, omega = self.graph, self.group, self.omega
+        lx = adjoint_cov_deriv(graph, group, omega, cov_deriv(graph, group, omega, out))
+        res = np.linalg.norm(lx[self._order].ravel() - rhs)
+        if res > SOLVE_TOLERANCE * max(np.linalg.norm(rhs), 1.0):
+            raise SingularOperatorError(f"Green solve residual {res:.3e} above tolerance")
         return out
 
 
@@ -366,8 +379,7 @@ def ad_star(graph: GraphX, group: str, xi1: np.ndarray, eta: np.ndarray) -> np.n
     xi1 = _check_edge(graph, group, xi1)
     eta = _check_edge(graph, group, eta)
     br = -0.5 * alg_bracket(group, xi1, eta)
-    out = _vertex_sums(graph, group, (graph.heads, br), (graph.tails, br))
-    return project_based(graph, out)
+    return project_based(graph, _vertex_sums(graph, (br, br)))
 
 
 def _require_horizontal(graph: GraphX, group: str, omega: np.ndarray, xi: np.ndarray,
@@ -440,14 +452,13 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
     pair_rhs = np.sum(eta * bracket_term)
     check("ad_star_pairing", abs(pair_lhs - pair_rhs), 1e-12)
 
-    # curvature checks on horizontal fields
-    h1 = horizontal_project(graph, group, omega, xi, gop)
-    h2 = horizontal_project(graph, group, omega, eta, gop)
+    # curvature checks on horizontal fields; ph is the horizontal part of xi
+    h1, h2 = ph, horizontal_project(graph, group, omega, eta, gop)
+    f12 = universal_curvature_FA(graph, group, omega, h1, h2, gop)
     if group == U1:
-        fa = universal_curvature_FA(graph, group, omega, h1, h2, gop)
-        check("abelian_FA_vanishing", np.max(np.abs(fa)), 0.0)
+        check("abelian_FA_vanishing", np.max(np.abs(f12)), 0.0)
+        f21 = f12  # the zero field of universal_curvature_FA(h2, h1)
     else:
-        f12 = universal_curvature_FA(graph, group, omega, h1, h2, gop)
         f21 = universal_curvature_FA(graph, group, omega, h2, h1, gop)
         check("FA_antisymmetry", np.max(np.abs(f12 + f21)), 1e-10)
 
@@ -459,8 +470,8 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
     z1 = FiberTangent(edge=0, magnitude=1.0)
     z2 = FiberTangent(edge=1 % graph.n_edges, magnitude=-0.5)
     V1, V2 = (h1, z1), (h2, z2)
-    full12 = universal_curvature_full(graph, group, omega, q, V1, V2, gop)
-    full21 = universal_curvature_full(graph, group, omega, q, V2, V1, gop)
+    full12 = _curvature_full(graph, group, omega, q, f12, V1, V2)
+    full21 = _curvature_full(graph, group, omega, q, f21, V2, V1)
     check("full_curvature_antisymmetry", np.max(np.abs(full12 + full21)), 1e-10)
 
     return results
@@ -533,17 +544,17 @@ def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray,
     return _ad_inverse(group, q.element, val)
 
 
-def universal_curvature_full(graph: GraphX, group: str, omega: np.ndarray,
-                             q: FiberPoint, V1: tuple, V2: tuple,
-                             gop: GreenOperator | None = None) -> np.ndarray:
+def _curvature_full(graph: GraphX, group: str, omega: np.ndarray, q: FiberPoint,
+                    fa: np.ndarray, V1: tuple, V2: tuple) -> np.ndarray:
     """Total universal curvature on a pair of (edge field, fiber tangent) vectors:
     G_w ad*_{xi1}(xi2) at q, plus F_w(q)(z1, z2), plus the mixed term
-    (xi1(z2) - xi2(z1)) / 2.  A FiberTangent has no vertical part, so the
-    bracket of vertical parts in that term is zero and left out."""
+    (xi1(z2) - xi2(z1)) / 2.  fa is the first term's vertex field,
+    universal_curvature_FA of the edge fields xi1 and xi2, which the caller
+    already holds.  A FiberTangent has no vertical part, so the bracket of
+    vertical parts in that term is zero and left out."""
     xi1, z1 = V1
     xi2, z2 = V2
-    first = universal_curvature_FA(graph, group, omega, xi1, xi2, gop)
-    term1 = _ad_inverse(group, q.element, first[q.vertex])
+    term1 = _ad_inverse(group, q.element, fa[q.vertex])
     term2 = _omega_plaquette_curvature(graph, group, omega, q, z1, z2)
     term3 = 0.5 * (pair_edge_with_tangent(graph, group, xi1, q, z2)
                    - pair_edge_with_tangent(graph, group, xi2, q, z1))

@@ -428,6 +428,28 @@ def test_classes_malformed_number_exit_code(tmp_path, capsys, line):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["tol.pairing = nan", "tol.pairing = inf",
+                                  "tol.pairing = -inf", "tol.pairing = -1e-8",
+                                  "expect.pairing = nan", "expect.pairing = inf",
+                                  "expect.pairing = -inf"])
+def test_classes_unusable_pairing_check_exit_code(tmp_path, capsys, line):
+    """A pairing bound or expectation that no value could meet, or every
+    value would, is a config error (exit 2), not a failed check (exit 4)."""
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=key):
+        SceneConfig(parse_config_text(f"fiber.sizes = 8,8\nexpect.pairing = 1\n{line}\n"))
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(f"base.sizes = 4\nfiber.sizes = 16,16\ntwist = 1\nclasses = 0\n"
+                   f"expect.pairing = 1\n{line}\n")
+    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+
+
+def test_scene_config_zero_pairing_tolerance():
+    cfg = SceneConfig({"fiber.sizes": "8,8", "tol.pairing": "0", "expect.pairing": "-2"})
+    assert (cfg.tol_pairing, cfg.expect_pairing) == (0.0, -2.0)
+
+
 def test_transform_non_object_document_exit_code(tmp_path, capsys):
     src = tmp_path / "list.json"
     src.write_text("[1,2]")
@@ -458,6 +480,18 @@ def test_universal_bad_graph_exit_code(capsys):
 def test_universal_malformed_graph_spec_exit_code(capsys, spec):
     assert main(["universal", "--graph", spec]) == EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,canonical", [
+    ("ring:+5", "ring:5"), ("ring:1_000", "ring:1000"), ("ring: 5", "ring:5"),
+    ("torus:04:5", "torus:4:5"), ("ring:\u0665", "ring:5"), ("ring:5 ", "ring:5"),
+])
+def test_universal_noncanonical_graph_spec_exit_code(capsys, spec, canonical):
+    """Sizes are canonical decimal, so one graph has one spec and one report
+    hash; another spelling exits 2 and names the canonical one."""
+    assert main(["universal", "--graph", spec]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"must be written {canonical!r}" in err and "Traceback" not in err
 
 
 def test_universal_factor_size_limit_exit_code(capsys):
@@ -565,6 +599,22 @@ def test_report_hash_pinned(tmp_path, capsys, scene, want):
         cfg.write_text(scene)
         argv = ["classes", "--config", str(cfg)]
     assert main(argv + ["--report", str(rep)]) == EXIT_OK
+    assert json.loads(rep.read_text())["report_hash"] == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("graph,group,want", [
+    ("torus:16:32", SU2, "456ac0ac3625cfc0de1a942324affccd87df67f32e5e45f80dfefe9400b3a596"),
+    ("ring:64", U1, "a754a6266289df7b8297c94619ee75f70536a284e9b459fc827b6e933e3bdc8a"),
+])
+def test_universal_report_hash_pinned(tmp_path, capsys, graph, group, want):
+    """`universal --seed 3` reports keep their bits.  The su(2) residuals come
+    from OpenBLAS matrix-vector products whose bits depend on its thread
+    count: this hash is the two-thread one (the default on two CPUs);
+    OPENBLAS_NUM_THREADS=1 gives b36155ea...."""
+    rep = tmp_path / "u.json"
+    assert main(["universal", "--graph", graph, "--group", group, "--seed", "3",
+                 "--report", str(rep)]) == EXIT_OK
     assert json.loads(rep.read_text())["report_hash"] == want
     capsys.readouterr()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caloron import universal as uni
-from caloron.errors import ConfigError, DomainError, ShapeError
+from caloron.errors import ConfigError, DomainError, ShapeError, SingularOperatorError
 from caloron.lattice import SU2, U1
 from caloron.universal import (
     FiberPoint,
@@ -20,7 +20,6 @@ from caloron.universal import (
     project_based,
     run_property_suite,
     universal_curvature_FA,
-    universal_curvature_full,
 )
 
 
@@ -149,6 +148,38 @@ def test_laplacian_assembly_matches_dense_oracle(spec, group):
     assert L.shape == (Dm.shape[1], Dm.shape[1])
     assert np.max(np.abs(L - Dm.T @ Dm)) <= 1e-12 * scale
     assert all(np.max(np.abs(d - d.T)) <= 1e-14 * scale for d in D)
+
+
+@pytest.mark.parametrize("spec", ["ring:8", "torus:4:5"])
+@pytest.mark.parametrize("group", [U1, SU2])
+def test_residual_operator_matches_assembled_blocks(spec, group):
+    """The solve checks its residual with adjoint_cov_deriv of cov_deriv; on
+    based fields that agrees with the assembled D_k, E_k product."""
+    g = parse_graph(spec)
+    rng = np.random.default_rng(12)
+    omega = rng.standard_normal((g.n_edges, uni.ALG_DIM[group]))
+    blocks = uni.green_blocks(g, group)
+    L = _dense_from_blocks(*uni._laplacian_blocks(g, group, omega, blocks))
+    order = np.concatenate(blocks)
+    for _ in range(3):
+        mu = project_based(g, rng.standard_normal((g.n_vertices, uni.ALG_DIM[group])))
+        want = L @ mu[order].ravel()
+        got = adjoint_cov_deriv(g, group, omega, cov_deriv(g, group, omega, mu))[order].ravel()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_green_residual_check_catches_a_perturbed_factor():
+    """Scaling one C_k^{-1} block by 1 + 1e-6 puts the solve far past its
+    1e-10 relative residual; the intact factor passes."""
+    g = parse_graph("torus:4:5")
+    rng = np.random.default_rng(13)
+    omega = rng.standard_normal((g.n_edges, 3))
+    gop = GreenOperator(g, SU2, omega)
+    v = project_based(g, rng.standard_normal((g.n_vertices, 3)))
+    gop.solve(v)
+    gop._cinv[0] = gop._cinv[0] * (1 + 1e-6)
+    with pytest.raises(SingularOperatorError, match="residual"):
+        gop.solve(v)
 
 
 @st.composite
@@ -370,8 +401,10 @@ def test_full_curvature_antisymmetric():
         np.array([0.3, 0.1, -0.2]))))
     V1 = (h1, FiberTangent(edge=0, magnitude=0.7))
     V2 = (h2, FiberTangent(edge=g.plaquettes[0][3], magnitude=-1.3))
-    a = universal_curvature_full(g, SU2, omega, q, V1, V2, gop)
-    b = universal_curvature_full(g, SU2, omega, q, V2, V1, gop)
+    f12 = universal_curvature_FA(g, SU2, omega, h1, h2, gop)
+    f21 = universal_curvature_FA(g, SU2, omega, h2, h1, gop)
+    a = uni._curvature_full(g, SU2, omega, q, f12, V1, V2)
+    b = uni._curvature_full(g, SU2, omega, q, f21, V2, V1)
     assert np.max(np.abs(a + b)) < 1e-10
 
 
@@ -396,6 +429,23 @@ def test_property_suite_green_torus_64_64():
     results = run_property_suite(parse_graph("torus:64:64"), SU2, seed=3)
     for name, residual, tol, ok in results:
         assert ok, f"{name}: residual {residual} > {tol}"
+
+
+@pytest.mark.parametrize("group,want", [(U1, 5), (SU2, 7)])
+def test_property_suite_green_solve_count(monkeypatch, group, want):
+    """One solve per distinct Green field: green_inverse, vertical_reproduction,
+    the projections of xi, ph and eta, and for su(2) F_A(h1, h2) and
+    F_A(h2, h1), which the full-curvature checks reuse."""
+    calls = []
+    solve = GreenOperator.solve
+
+    def counted(self, v):
+        calls.append(1)
+        return solve(self, v)
+
+    monkeypatch.setattr(GreenOperator, "solve", counted)
+    run_property_suite(parse_graph("torus:4:4"), group, seed=3)
+    assert len(calls) == want
 
 
 def test_property_suite_deterministic():

@@ -1,7 +1,7 @@
 """Command-line entry point: expand, transform, classes, universal, selftest.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical-tolerance
-failure.
+failure.  The commands raise, and `run` alone maps an exception to its code.
 """
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from . import serialize, symbolic
 from .chernweil import InvariantPolynomial, caloron_class
 from .errors import CaloronError, ConfigError, SingularOperatorError
 from .lattice import SU2, U1, Grid, sample
-from .scene import SceneConfig, load_config, report_hash
+from .scene import Check, SceneConfig, load_config, report_hash
 from .transform import ProductConnection, forward_transform, inverse_transform
-from .universal import green_blocks, parse_graph, run_property_suite
+from .universal import parse_graph, run_property_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -24,7 +24,29 @@ EXIT_IO = 3
 EXIT_TOLERANCE = 4
 
 
-def _write_report(report: dict, path: str | None) -> None:
+def run(command, args) -> int:
+    """command(args), with what it raises reported on stderr as an exit code."""
+    try:
+        return command(args)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SingularOperatorError as exc:
+        print(f"tolerance error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except CaloronError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+
+def _finish(report: dict, checks: list, path: str | None, start: float) -> int:
+    """Add the check entries and timings to a report, hash it and write it to
+    path (stdout if None); exit 4 if any judged check failed."""
+    report["checks"] = [c.entry() for c in checks]
+    report["timings"] = {"wall_seconds": time.time() - start}
     report["report_hash"] = report_hash(report)
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if path:
@@ -32,14 +54,12 @@ def _write_report(report: dict, path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+    failed = any(not c.passed for c in checks if c.passed is not None)
+    return EXIT_TOLERANCE if failed else EXIT_OK
 
 
 def cmd_expand(args) -> int:
-    try:
-        expr = symbolic.caloron_integrand(args.fiber_dim, args.poly_degree)
-    except CaloronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    expr = symbolic.caloron_integrand(args.fiber_dim, args.poly_degree)
     if args.json:
         print(symbolic.to_json(expr))
     else:
@@ -50,64 +70,45 @@ def cmd_expand(args) -> int:
 def cmd_transform(args) -> int:
     # The parsed document stays alive from parse to write, so the collector
     # is off for the whole command rather than per codec call.  It resumes
-    # only after _transform has returned and so dropped the documents.
+    # only after _transform has returned and so dropped the documents (or,
+    # when it raises, has left them to the traceback that `run` reports).
     with serialize.collector_paused():
         return _transform(args)
 
 
 def _transform(args) -> int:
-    try:
-        doc = serialize.load_document(args.input)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        kind = serialize.document_kind(doc)
-        if args.direction == "forward":
-            if kind != "product_connection":
-                raise ConfigError("forward transform needs a product_connection document")
-            w = serialize.connection_from_doc(doc)
-            del doc  # release the parsed input before the output is encoded
-            a, phi = forward_transform(w)
-            out = serialize.pair_to_doc(a, phi)
-        elif args.direction == "inverse":
-            if kind != "transform_pair":
-                raise ConfigError("inverse transform needs a transform_pair document")
-            a, phi = serialize.pair_from_doc(doc)
-            del doc  # release the parsed input before the output is encoded
-            out = serialize.connection_to_doc(inverse_transform(a, phi))
-        else:  # roundtrip
-            if kind == "product_connection":
-                before = (serialize.connection_from_doc(doc),)
-                after = (inverse_transform(*forward_transform(*before)),)
-                encode = serialize.connection_to_doc
-            else:
-                before = serialize.pair_from_doc(doc)
-                after = forward_transform(inverse_transform(*before))
-                encode = serialize.pair_to_doc
-            del doc  # release the parsed input before the output is encoded
-            if not all(map(_same_bits, before, after)):
-                print("roundtrip: MISMATCH", file=sys.stderr)
-                return EXIT_TOLERANCE
-            print("roundtrip: exact")
-            out = encode(*after) if args.output else None
-    except (CaloronError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    doc = serialize.load_document(args.input)
+    kind = serialize.document_kind(doc)
+    if args.direction == "forward":
+        if kind != "product_connection":
+            raise ConfigError("forward transform needs a product_connection document")
+        w = serialize.connection_from_doc(doc)
+        del doc  # release the parsed input before the output is encoded
+        a, phi = forward_transform(w)
+        out = serialize.pair_to_doc(a, phi)
+    elif args.direction == "inverse":
+        if kind != "transform_pair":
+            raise ConfigError("inverse transform needs a transform_pair document")
+        a, phi = serialize.pair_from_doc(doc)
+        del doc  # release the parsed input before the output is encoded
+        out = serialize.connection_to_doc(inverse_transform(a, phi))
+    else:  # roundtrip
+        if kind == "product_connection":
+            before = (serialize.connection_from_doc(doc),)
+            after = (inverse_transform(*forward_transform(*before)),)
+            encode = serialize.connection_to_doc
+        else:
+            before = serialize.pair_from_doc(doc)
+            after = forward_transform(inverse_transform(*before))
+            encode = serialize.pair_to_doc
+        del doc  # release the parsed input before the output is encoded
+        if not all(map(_same_bits, before, after)):
+            print("roundtrip: MISMATCH", file=sys.stderr)
+            return EXIT_TOLERANCE
+        print("roundtrip: exact")
+        out = encode(*after) if args.output else None
     if args.output:
-        try:
-            serialize.save_document(out, args.output)
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        serialize.save_document(out, args.output)
     return EXIT_OK
 
 
@@ -142,129 +143,68 @@ def _classes_for_scene(cfg: SceneConfig, grid=None) -> list:
 
 def cmd_classes(args) -> int:
     start = time.time()
-    try:
-        cfg = SceneConfig(load_config(args.config))
-        if args.refine:
-            cfg.check_size(cfg.grid.refine(2))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CaloronError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        reports = _classes_for_scene(cfg)
-    except CaloronError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    checks = []
-    pairings = []
-    failed = False
+    cfg = SceneConfig(load_config(args.config))
+    if args.refine:
+        cfg.check_size(cfg.grid.refine(2))
+    reports = _classes_for_scene(cfg)
+    checks, pairings = [], []
     for rep in reports:
         for name, value in rep.pairings:
             pairings.append({"r": rep.r, "cycle": name,
                              "value": [value.real, value.imag]})
             if cfg.expect_pairing is not None:
                 err = abs(value - cfg.expect_pairing)
-                ok = err <= cfg.tol_pairing
-                failed |= not ok
-                checks.append({"name": f"pairing_r{rep.r}_{name}",
-                               "residual": err, "pass": ok})
-        checks.append({"name": f"closedness_r{rep.r}",
-                       "residual": rep.closedness_residual, "informational": True})
+                checks.append(Check(f"pairing_r{rep.r}_{name}", err,
+                                    passed=err <= cfg.tol_pairing))
+        checks.append(Check(f"closedness_r{rep.r}", rep.closedness_residual))
 
     if args.refine:
         fine = _classes_for_scene(cfg, cfg.grid.refine(2))
         for coarse_rep, fine_rep in zip(reports, fine):
             rc, rf = coarse_rep.closedness_residual, fine_rep.closedness_residual
             ratio = rc / rf if rf > 1e-14 else float("inf")
-            ok = ratio >= 3.5 or rc <= 1e-13
-            failed |= not ok
-            checks.append({"name": f"closedness_ratio_r{coarse_rep.r}",
-                           "residual": ratio, "pass": ok})
+            checks.append(Check(f"closedness_ratio_r{coarse_rep.r}", ratio,
+                                passed=ratio >= 3.5 or rc <= 1e-13))
 
-    report = {
-        "command": "classes",
-        "config": cfg.raw,
-        "config_hash": cfg.config_hash(),
-        "checks": checks,
-        "pairings": pairings,
-        "timings": {"wall_seconds": time.time() - start},
-    }
-    try:
-        _write_report(report, args.report)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    report = {"command": "classes", "config": cfg.raw,
+              "config_hash": cfg.config_hash(), "pairings": pairings}
+    return _finish(report, checks, args.report, start)
 
 
 def cmd_universal(args) -> int:
     start = time.time()
-    try:
-        graph = parse_graph(args.graph)
-        if args.group not in (U1, SU2):
-            raise ConfigError(f"unknown group {args.group!r}")
-        green_blocks(graph, args.group)  # the factor's size limit, checked before it is built
-    except CaloronError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        results = run_property_suite(graph, args.group, seed=args.seed)
-    except SingularOperatorError as exc:
-        print(f"tolerance error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    checks = [{"name": n, "residual": r, "tolerance": t, "pass": ok}
-              for n, r, t, ok in results]
-    failed = any(not c["pass"] for c in checks)
-    report = {
-        "command": "universal",
-        "config": {"graph": args.graph, "group": args.group, "seed": args.seed},
-        "checks": checks,
-        "timings": {"wall_seconds": time.time() - start},
-    }
-    try:
-        _write_report(report, args.report)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    graph = parse_graph(args.graph)
+    if args.group not in (U1, SU2):
+        raise ConfigError(f"unknown group {args.group!r}")
+    checks = run_property_suite(graph, args.group, seed=args.seed)
+    report = {"command": "universal",
+              "config": {"graph": args.graph, "group": args.group, "seed": args.seed}}
+    return _finish(report, checks, args.report, start)
 
 
 def cmd_selftest(args) -> int:
     """Condensed acceptance battery; deterministic per seed."""
     start = time.time()
-    checks = []
-
-    def check(name, ok, detail=None):
-        entry = {"name": name, "pass": bool(ok)}
-        if detail is not None:
-            entry["residual"] = float(detail)
-        checks.append(entry)
-
     # symbolic identities, exact
-    table_ok = all(
-        symbolic.canonicalize(symbolic.table_fixture(d, k)) == symbolic.caloron_integrand(d, k)
-        for d, k in symbolic.table_cells())
-    check("table_reproduction", table_ok)
-    abelian_ok = all(
-        symbolic.abelian_closed_form(d, k) == symbolic.caloron_integrand(d, k)
-        for k in range(1, 7) for d in range(1, min(2 * k, 8) + 1))
-    check("abelian_closed_form", abelian_ok)
-    string_ok = all(
-        symbolic.string_class_integrand(k) == symbolic.caloron_integrand(1, k)
-        for k in range(1, 7))
-    check("string_class_integrand", string_ok)
+    checks = [
+        Check("table_reproduction", passed=all(
+            symbolic.canonicalize(symbolic.table_fixture(d, k))
+            == symbolic.caloron_integrand(d, k) for d, k in symbolic.table_cells())),
+        Check("abelian_closed_form", passed=all(
+            symbolic.abelian_closed_form(d, k) == symbolic.caloron_integrand(d, k)
+            for k in range(1, 7) for d in range(1, min(2 * k, 8) + 1))),
+        Check("string_class_integrand", passed=all(
+            symbolic.string_class_integrand(k) == symbolic.caloron_integrand(1, k)
+            for k in range(1, 7))),
+    ]
 
     # transform round trip on seeded data
     grid = Grid(sizes=(8, 8), base_axes=(0,))
     for group, fam in ((U1, "u1_harmonic"), (SU2, "su2_band_limited")):
         A = sample(fam, grid, group, {"max_mode": 2}, seed=args.seed)
         w = ProductConnection.from_one_form(A)
-        check(f"roundtrip_{group}", _same_bits(w, inverse_transform(*forward_transform(w))))
+        checks.append(Check(f"roundtrip_{group}",
+                            passed=_same_bits(w, inverse_transform(*forward_transform(w)))))
 
     # chern integrality on a twist-1 scene
     cfg = SceneConfig({"base.sizes": "4", "fiber.sizes": "16,16", "group": "u1",
@@ -272,27 +212,16 @@ def cmd_selftest(args) -> int:
                        "expect.pairing": "1", "seed": str(args.seed)})
     rep = _classes_for_scene(cfg)[0]
     err = abs(rep.pairings[0][1] - 1.0)
-    check("twist_pairing", err <= 1e-8, err)
+    checks.append(Check("twist_pairing", err, passed=err <= 1e-8))
 
     # universal suite on a ring
     for group in (U1, SU2):
         results = run_property_suite(parse_graph("ring:8"), group, seed=args.seed)
-        check(f"universal_{group}", all(ok for _, _, _, ok in results),
-              max(r for _, r, _, _ in results))
+        checks.append(Check(f"universal_{group}", max(c.residual for c in results),
+                            passed=all(c.passed for c in results)))
 
-    failed = any(not c["pass"] for c in checks)
-    report = {
-        "command": "selftest",
-        "config": {"seed": args.seed},
-        "checks": checks,
-        "timings": {"wall_seconds": time.time() - start},
-    }
-    try:
-        _write_report(report, args.report)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    return _finish({"command": "selftest", "config": {"seed": args.seed}},
+                   checks, args.report, start)
 
 
 def _seed(text: str) -> int:
@@ -349,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

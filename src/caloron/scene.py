@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from math import isfinite, prod
+from typing import NamedTuple
 
 from .errors import ConfigError, SizeLimitError
 from .lattice import SU2, TWO_PI, U1, FormField, Grid, sample, value_shape
@@ -33,7 +34,7 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read())
 
 
@@ -79,6 +80,9 @@ class SceneConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         self.twist = _number(int, raw.get("twist", 0))
+        # past 2**53 a float64 cannot hold the integer a pairing should return
+        if abs(self.twist) > 2 ** 53:
+            raise ConfigError(f"twist must be at most 2**53 in magnitude, got {raw['twist']!r}")
         self.poly_kind = raw.get("poly.kind", "chern_normalized")
         self.classes = _int_list(raw.get("classes", "0"))
         d = len(self.grid.fiber_axes)
@@ -120,6 +124,30 @@ class SceneConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+class Check(NamedTuple):
+    """One entry of a report's checks: a residual judged against a tolerance,
+    or, with passed None, reported for inspection only."""
+
+    name: str
+    residual: float | None = None
+    tolerance: float | None = None
+    passed: bool | None = None
+
+    def entry(self) -> dict:
+        """The report entry: fields that are None are left out, and a check
+        that was not judged is marked informational instead of passed."""
+        entry = {"name": self.name}
+        if self.residual is not None:
+            entry["residual"] = self.residual
+        if self.tolerance is not None:
+            entry["tolerance"] = self.tolerance
+        if self.passed is None:
+            entry["informational"] = True
+        else:
+            entry["pass"] = bool(self.passed)
+        return entry
 
 
 def report_hash(report: dict) -> str:

@@ -222,7 +222,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_document(path: str) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 

@@ -31,11 +31,12 @@ import numpy as np
 from .errors import (ConfigError, DomainError, ShapeError, SingularOperatorError,
                      SizeLimitError)
 from .lattice import SU2, U1, group_exp, su2_coords, su2_from_coords
+from .scene import Check
 
 MAX_VERTICES = 2 ** 16
 
-# bytes of the Green factor, counted as the D_k, E_k, C_k^{-1} and W_k blocks
-# together; C_k^{-1} and W_k overwrite D_k and E_k, so the factor holds half
+# bytes of the Green factor: the one buffer of D_k and E_k blocks, which C_k^{-1}
+# and W_k overwrite, and the temporaries of factoring its largest block
 MAX_FACTOR_BYTES = 2 ** 30
 
 # relative residual a Green solve must meet: |L x - b| <= SOLVE_TOLERANCE max(|b|, 1)
@@ -226,8 +227,9 @@ def green_blocks(graph: GraphX, group: str) -> list:
     if run:
         blocks.append(np.sort(np.concatenate(run)))
     sizes = [g * len(b) for b in blocks]
-    nbytes = 8 * (2 * sum(b * b for b in sizes)
-                  + 2 * sum(b * c for b, c in zip(sizes, sizes[1:])))
+    # S_k, C_k, inv(C_k) and the W_k update, each at most b x b for the largest b
+    nbytes = 8 * (sum(b * b for b in sizes) + sum(b * c for b, c in zip(sizes, sizes[1:]))
+                  + 4 * max(sizes, default=0) ** 2)
     if nbytes > MAX_FACTOR_BYTES:
         raise SizeLimitError(f"Green factor of {nbytes / 2**20:.0f} MiB exceeds the limit "
                              f"of {MAX_FACTOR_BYTES / 2**20:.0f} MiB")
@@ -404,7 +406,8 @@ def universal_curvature_FA(graph: GraphX, group: str, omega: np.ndarray,
 def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
     """Residuals for the full property battery on seeded random data.
 
-    Returns (name, residual, tolerance, passed) tuples; deterministic per seed.
+    Returns a Check per property, each judged against its tolerance;
+    deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     g = ALG_DIM[group]
@@ -418,7 +421,7 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
 
     def check(name, residual, tol):
         residual = float(residual)
-        results.append((name, residual, tol, residual <= tol))
+        results.append(Check(name, residual, tol, residual <= tol))
 
     # exact matrix adjoint
     lhs = np.sum(cov_deriv(graph, group, omega, mu) * xi)

@@ -3,8 +3,11 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import weakref
 from pathlib import Path
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from caloron import cli, lattice as lat, serialize, universal
-from caloron.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform, main
+from caloron.cli import (EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform,
+                         main, run)
 from caloron.errors import ConfigError, ShapeError, SingularOperatorError, SizeLimitError
 from caloron.lattice import SCALAR, SU2, U1, FormField, Grid, LinkField
 from caloron.scene import MAX_CONNECTION_BYTES, SceneConfig, parse_config_text, report_hash
@@ -283,11 +287,13 @@ def test_transform_forward_then_inverse(tmp_path):
 
 
 def test_transform_bad_json_exit_code(tmp_path, capsys):
+    """Text that is not JSON, or bytes that are not UTF-8, exit 2."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["transform", "--input", str(bad),
-                 "--direction", "forward"]) == EXIT_VALIDATION
-    capsys.readouterr()
+    for content in (b"{not json", b"\xff{}"):
+        bad.write_bytes(content)
+        assert main(["transform", "--input", str(bad),
+                     "--direction", "forward"]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_transform_missing_file_exit_code(tmp_path, capsys):
@@ -378,7 +384,7 @@ def test_transform_leaves_no_cyclic_garbage(tmp_path, capsys, group):
         for path, direction, out, want in runs:
             args = argparse.Namespace(input=str(path), direction=direction,
                                       output=out and str(out))
-            assert cmd_transform(args) == want
+            assert run(cmd_transform, args) == want
             assert gc.collect() == 0, direction
     finally:
         if was_enabled:
@@ -413,14 +419,20 @@ def test_classes_expectation_failure_exit_code(tmp_path, capsys):
 
 
 def test_classes_bad_config_exit_code(tmp_path, capsys):
+    """A parity mismatch, or bytes that are not UTF-8 (here in a comment of a
+    scene that is otherwise valid), exit 2."""
     cfg = tmp_path / "scene.cfg"
-    cfg.write_text("fiber.sizes = 8,8\nclasses = 1\n")  # parity mismatch
-    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
-    capsys.readouterr()
+    for content in (b"fiber.sizes = 8,8\nclasses = 1\n",
+                    b"#\xff\nfiber.sizes = 8,8\nclasses = 0\n"):
+        cfg.write_bytes(content)
+        assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["base.sizes = a", "fiber.lengths = 6.28,x", "seed = -1",
-                                  "fiber.lengths = nan,6.28", "base.lengths = inf"])
+                                  "fiber.lengths = nan,6.28", "base.lengths = inf",
+                                  f"twist = {2 ** 53 + 1}",
+                                  pytest.param("twist = 1" + "0" * 400, id="twist = 10**400")])
 def test_classes_malformed_number_exit_code(tmp_path, capsys, line):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text(f"fiber.sizes = 8,8\nclasses = 0\n{line}\n")
@@ -495,25 +507,27 @@ def test_universal_noncanonical_graph_spec_exit_code(capsys, spec, canonical):
 
 
 def test_universal_factor_size_limit_exit_code(capsys):
-    """torus:150:150 is within the vertex cap, but its su(2) Green factor
-    would take about 1.2 GiB: exit 2 before any block is allocated."""
+    """torus:200:200 is within the vertex cap, but its su(2) Green factor
+    would take about 1.5 GiB: exit 2 before any block is allocated."""
     start = time.perf_counter()
-    assert main(["universal", "--graph", "torus:150:150", "--group", "su2"]) == \
+    assert main(["universal", "--graph", "torus:200:200", "--group", "su2"]) == \
         EXIT_VALIDATION
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "exceeds the limit" in err and "Traceback" not in err
 
 
-def test_universal_solve_tolerance_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["universal --graph torus:4:4 --group su2",
+                                     "selftest --seed 7"])
+def test_universal_solve_tolerance_exit_code(capsys, monkeypatch, command):
     """A Green solve that misses its residual tolerance, as on long su(2)
     rings whose Laplacian grows ill-conditioned with the length, exits 4
-    without a traceback."""
+    without a traceback, in `universal` and in `selftest` alike."""
     def miss(self, v):
         raise SingularOperatorError("Green solve residual 1e-09 above tolerance")
 
     monkeypatch.setattr(universal.GreenOperator, "solve", miss)
-    assert main(["universal", "--graph", "torus:4:4", "--group", "su2"]) == EXIT_TOLERANCE
+    assert main(command.split()) == EXIT_TOLERANCE
     err = capsys.readouterr().err
     assert "tolerance error" in err and "Traceback" not in err
 
@@ -604,19 +618,22 @@ def test_report_hash_pinned(tmp_path, capsys, scene, want):
 
 
 @pytest.mark.parametrize("graph,group,want", [
-    ("torus:16:32", SU2, "456ac0ac3625cfc0de1a942324affccd87df67f32e5e45f80dfefe9400b3a596"),
+    ("torus:16:32", SU2, "b36155ea8c0b01322fd132cb6abba8cc9bd74801b4dfd55bb88f8adea663d93c"),
     ("ring:64", U1, "a754a6266289df7b8297c94619ee75f70536a284e9b459fc827b6e933e3bdc8a"),
 ])
-def test_universal_report_hash_pinned(tmp_path, capsys, graph, group, want):
+def test_universal_report_hash_pinned(tmp_path, graph, group, want):
     """`universal --seed 3` reports keep their bits.  The su(2) residuals come
     from OpenBLAS matrix-vector products whose bits depend on its thread
-    count: this hash is the two-thread one (the default on two CPUs);
-    OPENBLAS_NUM_THREADS=1 gives b36155ea...."""
+    count (two threads give 456ac0ac... on torus:16:32), so the command runs
+    in a child process with one BLAS thread, as the benchmark runs it."""
     rep = tmp_path / "u.json"
-    assert main(["universal", "--graph", graph, "--group", group, "--seed", "3",
-                 "--report", str(rep)]) == EXIT_OK
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-m", "caloron.cli", "universal", "--graph", graph,
+                          "--group", group, "--seed", "3", "--report", str(rep)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == EXIT_OK, out.stderr
     assert json.loads(rep.read_text())["report_hash"] == want
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("group,seed,want_pair,want_back", [

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caloron import universal as uni
-from caloron.errors import ConfigError, DomainError, ShapeError, SingularOperatorError
+from caloron.errors import (ConfigError, DomainError, ShapeError, SingularOperatorError,
+                            SizeLimitError)
 from caloron.lattice import SU2, U1
 from caloron.universal import (
     FiberPoint,
@@ -166,6 +167,15 @@ def test_residual_operator_matches_assembled_blocks(spec, group):
         want = L @ mu[order].ravel()
         got = adjoint_cov_deriv(g, group, omega, cov_deriv(g, group, omega, mu))[order].ravel()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_green_factor_size_limit_counts_the_buffer_once():
+    """The limit counts the one D_k, E_k buffer and the temporaries of the
+    largest block: su(2) on torus:150:150 (618 MiB) is within 1 GiB and
+    torus:200:200 (a 1465 MiB buffer) is not.  Only the block sizes are computed."""
+    uni.green_blocks(parse_graph("torus:150:150"), SU2)
+    with pytest.raises(SizeLimitError, match="exceeds the limit"):
+        uni.green_blocks(parse_graph("torus:200:200"), SU2)
 
 
 def test_green_residual_check_catches_a_perturbed_factor():

@@ -576,23 +576,27 @@ def band_limited_scalar(grid: Grid, max_mode: int, rng: np.random.Generator,
     return out
 
 
-def sample(family: str, grid: Grid, group: str = U1, params: dict | None = None,
-           seed: int = 0):
-    """Deterministic test-configuration library.
+# the group each sample family draws its connection in
+FAMILY_GROUP = {"u1_harmonic": U1, "su2_band_limited": SU2}
 
-    Families: zero, u1_harmonic(max_mode), su2_band_limited(max_mode),
-    constant_curvature_torus(c) (returns a LinkField on a 2-d grid).  The
-    band-limited families need 0 <= max_mode <= min(grid.sizes) // 2.
+
+def check_family(family: str, group: str) -> None:
+    """Raise ConfigError unless `family` is a sample family of `group`."""
+    if FAMILY_GROUP.get(family) != group:
+        raise ConfigError(f"{family!r} is not a sample family of group {group!r}; "
+                          + ", ".join(f"{f} needs {g}" for f, g in FAMILY_GROUP.items()))
+
+
+def sample(family: str, grid: Grid, group: str = U1, params: dict | None = None,
+           seed: int = 0) -> FormField:
+    """Deterministic random connection 1-form of a band-limited family.
+
+    Families: u1_harmonic(max_mode) for group u1, su2_band_limited(max_mode)
+    for group su2 (FAMILY_GROUP); both need 0 <= max_mode <= min(grid.sizes) // 2.
     """
-    params = dict(params or {})
+    check_family(family, group)
     rng = np.random.default_rng(seed)
-    if family == "zero":
-        return FormField.zero(grid, group, 1)
-    if family == "constant_curvature_torus":
-        return constant_curvature_torus(grid, int(params.get("c", 1)))
-    if family not in ("u1_harmonic", "su2_band_limited"):
-        raise ConfigError(f"unknown sample family {family!r}")
-    max_mode = int(params.get("max_mode", 2))
+    max_mode = int((params or {}).get("max_mode", 2))
     if not 0 <= max_mode <= min(grid.sizes) // 2:
         # past the Nyquist limit of the coarsest axis the modes only alias
         raise ConfigError(f"max_mode {max_mode} outside 0..{min(grid.sizes) // 2} "

@@ -11,7 +11,7 @@ from math import isfinite, prod
 from typing import NamedTuple
 
 from .errors import ConfigError, SizeLimitError
-from .lattice import SU2, TWO_PI, U1, FormField, Grid, sample, value_shape
+from .lattice import SU2, TWO_PI, U1, Grid, check_family, sample, value_shape
 from .transform import ProductConnection
 
 DEFAULT_LENGTH = TWO_PI
@@ -75,6 +75,8 @@ class SceneConfig:
             raise ConfigError(f"unknown group {self.group!r}")
         self.check_size(self.grid)
         self.family = raw.get("family", "zero")
+        if self.family != "zero":
+            check_family(self.family, self.group)
         self.max_mode = _number(int, raw.get("family.max_mode", 2))
         self.seed = _number(int, raw.get("seed", 0))
         if self.seed < 0:
@@ -116,9 +118,6 @@ class SceneConfig:
             return ProductConnection.zero(grid, self.group, twist=self.twist)
         form = sample(self.family, grid, self.group,
                       {"max_mode": self.max_mode}, seed=self.seed)
-        if not isinstance(form, FormField):
-            raise ConfigError(f"family {self.family!r} does not produce a "
-                              "connection form for a scene")
         return ProductConnection.from_one_form(form, twist=self.twist)
 
     def config_hash(self) -> str:

@@ -1,4 +1,4 @@
-"""JSON encoding of grids, fields, link fields and transform pairs.
+"""JSON encoding of grids, product connections and transform pairs.
 
 Complex numbers are [re, im] pairs; SU(2) matrices are 4 complex entries
 row-major.  Documents round-trip bit-exactly through float repr, signed zeros
@@ -17,17 +17,14 @@ from itertools import chain
 import numpy as np
 
 from .errors import CaloronError, ConfigError
-from .lattice import SU2, U1, FormField, Grid, LinkField
+from .lattice import U1, Grid
 from .transform import GaugeGroupConnection, HiggsFieldMap, ProductConnection
 
 
 def _encode_array(arr: np.ndarray, group: str):
-    if group in (U1, "scalar"):
-        stacked = np.stack([arr.real, arr.imag], axis=-1)
-        return stacked.tolist()
-    flat = arr.reshape(arr.shape[:-2] + (4,))
-    stacked = np.stack([flat.real, flat.imag], axis=-1)
-    return stacked.tolist()
+    if group != U1:
+        arr = arr.reshape(arr.shape[:-2] + (4,))
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _decoder(fn):
@@ -67,9 +64,7 @@ def _decode_array(data, group: str) -> np.ndarray:
     if raw.ndim < 1 or raw.shape[-1] != 2:
         raise ConfigError(f"array entries must be [re, im] pairs, got shape {raw.shape}")
     cplx = raw.view(complex)[..., 0]
-    if group in (U1, "scalar"):
-        return cplx
-    return cplx.reshape(cplx.shape[:-1] + (2, 2))
+    return cplx if group == U1 else cplx.reshape(cplx.shape[:-1] + (2, 2))
 
 
 def _number_array(data) -> np.ndarray:
@@ -92,18 +87,6 @@ def _number_array(data) -> np.ndarray:
     return np.array(entries, dtype=float).reshape(shape)
 
 
-def _component_key(key: str) -> tuple:
-    """The axes a component key names, spelled as the writers spell them:
-    decimal axes joined by commas.  int() alone would also read "00", " 0",
-    "+0", "0_2" and full-width digits, so two keys could name one axis and
-    one array silently replace the other."""
-    axes = tuple(int(x) for x in key.split(",")) if key else ()
-    if ",".join(map(str, axes)) != key:
-        raise ConfigError(f"component key {key!r} must be written "
-                          f"{','.join(map(str, axes))!r}")
-    return axes
-
-
 def _axes_to_doc(block, axes) -> dict:
     """Every axis in `axes` of a connection or block, a missing one as zeros:
     documents list every axis."""
@@ -111,13 +94,20 @@ def _axes_to_doc(block, axes) -> dict:
 
 
 def _axes_from_doc(data: dict, group: str) -> dict:
-    """An axis -> array object of a document; each key names one axis."""
+    """An axis -> array object of a document.  Each key is one axis spelled
+    as the writers spell it, in canonical decimal: int() alone would also
+    read "00", " 0", "+0", "0_2" and full-width digits, so two keys could
+    name one axis and one array silently replace the other."""
     out = {}
     for key, value in data.items():
-        axes = _component_key(key)
-        if len(axes) != 1:
-            raise ConfigError(f"component key {key!r} names {len(axes)} axes, not one")
-        out[axes[0]] = _decode_array(value, group)
+        try:
+            axis = int(key)
+        except ValueError:
+            raise ConfigError(f"component key {key!r} must be written as one "
+                              "axis in decimal") from None
+        if str(axis) != key:
+            raise ConfigError(f"component key {key!r} must be written {str(axis)!r}")
+        out[axis] = _decode_array(value, group)
     return out
 
 
@@ -135,40 +125,6 @@ def grid_from_doc(doc: dict) -> Grid:
     return Grid(sizes=tuple(_integer(n, "grid size") for n in doc["sizes"]),
                 lengths=tuple(_number(x, "grid length") for x in doc["lengths"]),
                 base_axes=tuple(_integer(a, "base axis") for a in doc.get("base_axes", ())))
-
-
-def form_to_doc(f: FormField) -> dict:
-    return {
-        "grid": grid_to_doc(f.grid),
-        "group": f.group,
-        "degree": f.degree,
-        "components": {",".join(map(str, k)): _encode_array(v, f.group)
-                       for k, v in f.comps.items()},
-    }
-
-
-@_decoder
-def form_from_doc(doc: dict) -> FormField:
-    grid = grid_from_doc(doc["grid"])
-    group = doc["group"]
-    comps = {_component_key(key): _decode_array(data, group)
-             for key, data in doc["components"].items()}
-    return FormField(grid, group, _integer(doc["degree"], "degree"), comps)
-
-
-def links_to_doc(u: LinkField) -> dict:
-    return {
-        "grid": grid_to_doc(u.grid),
-        "group": u.group,
-        "links": {str(a): _encode_array(v, u.group) for a, v in u.links.items()},
-    }
-
-
-@_decoder
-def links_from_doc(doc: dict) -> LinkField:
-    grid = grid_from_doc(doc["grid"])
-    group = doc["group"]
-    return LinkField(grid, group, _axes_from_doc(doc["links"], group))
 
 
 def connection_to_doc(w: ProductConnection) -> dict:

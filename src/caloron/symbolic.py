@@ -1,7 +1,7 @@
 """Exact expansion of invariant-polynomial arguments in the three curvature generators.
 
-Words are tuples over the alphabet {FA, FPhi, NablaPhi} with bidegrees
-(2,0), (0,2), (1,1); an Expression is a finite rational-linear combination
+Words are tuples over the alphabet {FA, FPhi, NablaPhi}, of bidegree
+(2,0), (0,2) and (1,1); an Expression is a finite rational-linear combination
 of words.  All coefficients are exact fractions, so the closed-formula
 identities can be tested with zero tolerance.
 """
@@ -65,15 +65,6 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({render(self)!r})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient_mass(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def bidegrees(self) -> set:
-        return {word_bidegree(w) for w in self.terms}
 
 
 def word_from_powers(a: int, b: int, c: int) -> Word:
@@ -235,18 +226,12 @@ def table_fixture(d: int, k: int) -> Expression:
     return Expression(terms)
 
 
-_PLAIN = {FA: "FA", FPHI: "FPhi", NABLA: "NablaPhi"}
-_LATEX = {FA: "F_{A}", FPHI: "F_{\\Phi}", NABLA: "\\nabla\\Phi"}
-
-
-def _run_lengths(word: Word) -> list:
-    runs = []
-    for g in word:
-        if runs and runs[-1][0] == g:
-            runs[-1][1] += 1
-        else:
-            runs.append([g, 1])
-    return runs
+# per style: letter symbols, power format, factor joiner, coefficient format
+_STYLES = {
+    "plain": ({FA: "FA", FPHI: "FPhi", NABLA: "NablaPhi"}, "{}^{}", "*", "{}*{}"),
+    "latex": ({FA: "F_{A}", FPHI: "F_{\\Phi}", NABLA: "\\nabla\\Phi"},
+              "{}^{{{}}}", "", "{}{}"),
+}
 
 
 def _word_key(word: Word):
@@ -258,29 +243,20 @@ def _word_key(word: Word):
 
 def render(e: Expression, style: str = "plain") -> str:
     """Deterministic text form; words in canonical order, reduced fractions."""
-    if style not in ("plain", "latex"):
+    if style not in _STYLES:
         raise ValueError(f"unknown render style {style!r}")
     if not e.terms:
         return "0"
-    symbols = _PLAIN if style == "plain" else _LATEX
+    symbols, power, joiner, scaled = _STYLES[style]
     parts = []
     canon = canonicalize(e)
     for word in sorted(canon.terms, key=_word_key):
         coeff = canon.terms[word]
-        factors = []
-        for g, n in _run_lengths(word):
-            if style == "plain":
-                factors.append(symbols[g] if n == 1 else f"{symbols[g]}^{n}")
-            else:
-                factors.append(symbols[g] if n == 1 else f"{symbols[g]}^{{{n}}}")
-        if style == "plain":
-            body = "*".join(factors)
-            mag = abs(coeff)
-            piece = body if mag == 1 else f"{mag}*{body}"
-        else:
-            body = "".join(factors)
-            mag = abs(coeff)
-            piece = body if mag == 1 else f"{mag}{body}"
+        # a canonical word runs through GENERATORS in order
+        runs = [(g, word.count(g)) for g in GENERATORS if g in word]
+        body = joiner.join(symbols[g] if n == 1 else power.format(symbols[g], n)
+                           for g, n in runs)
+        piece = body if abs(coeff) == 1 else scaled.format(abs(coeff), body)
         if not parts:
             parts.append(piece if coeff > 0 else f"-{piece}")
         else:
@@ -295,15 +271,3 @@ def to_json(e: Expression) -> str:
         for w, c in sorted(canon.terms.items(), key=lambda kv: _word_key(kv[0]))
     ]
     return json.dumps({"terms": terms})
-
-
-def from_json(text: str) -> Expression:
-    doc = json.loads(text)
-    terms = {}
-    for item in doc["terms"]:
-        word = tuple(item["word"])
-        for g in word:
-            if g not in GENERATORS:
-                raise ValueError(f"unknown generator {g!r}")
-        terms[word] = terms.get(word, Fraction(0)) + Fraction(item["coeff"])
-    return Expression(terms)

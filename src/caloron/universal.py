@@ -70,7 +70,7 @@ class GraphX:
     n_vertices: int
     edges: tuple  # ((tail, head), ...)
     basepoint: int = 0
-    plaquettes: tuple = ()  # ((e_right, e_top, e_left, e_bottom) ids per face, unused on rings)
+    plaquettes: tuple = ()  # ((e_bottom, e_right, e_top, e_left) ids per face, unused on rings)
 
     def __post_init__(self):
         _check_vertex_count(self.n_vertices)
@@ -133,23 +133,19 @@ class GraphX:
         for name, side in (("nx", nx), ("ny", ny)):
             if side < 3:
                 raise ConfigError(f"torus side {name} needs >= 3 vertices, got {side}")
-        _check_vertex_count(nx * ny)
+        n = nx * ny
+        _check_vertex_count(n)
+
         def vid(i, j):
             return (i % nx) * ny + (j % ny)
-        edges = []
-        for i in range(nx):
-            for j in range(ny):
-                edges.append((vid(i, j), vid(i + 1, j)))
-        for i in range(nx):
-            for j in range(ny):
-                edges.append((vid(i, j), vid(i, j + 1)))
-        ex = lambda i, j: (i % nx) * ny + (j % ny)              # noqa: E731
-        ey = lambda i, j: nx * ny + (i % nx) * ny + (j % ny)    # noqa: E731
-        plaq = []
-        for i in range(nx):
-            for j in range(ny):
-                plaq.append((ex(i, j), ey(i + 1, j), ex(i, j + 1), ey(i, j)))
-        return cls(nx * ny, tuple(edges), basepoint, tuple(plaq))
+
+        cells = [(i, j) for i in range(nx) for j in range(ny)]
+        edges = [(vid(i, j), vid(i + 1, j)) for i, j in cells]
+        edges += [(vid(i, j), vid(i, j + 1)) for i, j in cells]
+        # the x-edge from cell (i, j) is edge vid(i, j), its y-edge n + vid(i, j)
+        plaq = tuple((vid(i, j), n + vid(i + 1, j), vid(i, j + 1), n + vid(i, j))
+                     for i, j in cells)
+        return cls(n, tuple(edges), basepoint, plaq)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -177,20 +173,14 @@ def parse_graph(spec: str) -> GraphX:
     return GraphX.ring(*sizes) if kind == "ring" else GraphX.torus(*sizes)
 
 
-def _check_vertex(graph: GraphX, group: str, mu: np.ndarray) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (graph.n_vertices, ALG_DIM[group]):
-        raise ShapeError(f"vertex field shape {mu.shape}, expected "
-                         f"{(graph.n_vertices, ALG_DIM[group])}")
-    return mu
-
-
-def _check_edge(graph: GraphX, group: str, xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (graph.n_edges, ALG_DIM[group]):
-        raise ShapeError(f"edge field shape {xi.shape}, expected "
-                         f"{(graph.n_edges, ALG_DIM[group])}")
-    return xi
+def _check_shape(graph: GraphX, group: str, x: np.ndarray, kind: str) -> np.ndarray:
+    """x as a float array of one algebra value per vertex or per edge of
+    `graph`, as `kind` says; any other shape is a ShapeError."""
+    x = np.asarray(x, dtype=float)
+    want = (graph.n_vertices if kind == "vertex" else graph.n_edges, ALG_DIM[group])
+    if x.shape != want:
+        raise ShapeError(f"{kind} field shape {x.shape}, expected {want}")
+    return x
 
 
 def project_based(graph: GraphX, mu: np.ndarray) -> np.ndarray:
@@ -201,8 +191,8 @@ def project_based(graph: GraphX, mu: np.ndarray) -> np.ndarray:
 
 def cov_deriv(graph: GraphX, group: str, omega: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """(d_w mu)(e) = mu(head) - mu(tail) + [w(e), (mu(head)+mu(tail))/2]."""
-    omega = _check_edge(graph, group, omega)
-    mu = _check_vertex(graph, group, mu)
+    omega = _check_shape(graph, group, omega, "edge")
+    mu = _check_shape(graph, group, mu, "vertex")
     mu_h, mu_t = mu[graph.heads], mu[graph.tails]
     return mu_h - mu_t + alg_bracket(group, omega, 0.5 * (mu_h + mu_t))
 
@@ -284,8 +274,8 @@ def _laplacian_blocks(graph: GraphX, group: str, omega: np.ndarray,
 def adjoint_cov_deriv(graph: GraphX, group: str, omega: np.ndarray,
                       xi: np.ndarray) -> np.ndarray:
     """Exact inner-product adjoint of cov_deriv, projected to based fields."""
-    omega = _check_edge(graph, group, omega)
-    xi = _check_edge(graph, group, xi)
+    omega = _check_shape(graph, group, omega, "edge")
+    xi = _check_shape(graph, group, xi, "edge")
     # <d mu, xi> = sum_e <mu_h - mu_t, xi_e> + <(mu_h+mu_t)/2, -[w_e, xi_e]>
     br = -0.5 * alg_bracket(group, omega, xi)
     return project_based(graph, _vertex_sums(graph, (xi, -xi), (br, br)))
@@ -317,7 +307,7 @@ class GreenOperator:
     def __init__(self, graph: GraphX, group: str, omega: np.ndarray):
         self.graph = graph
         self.group = group
-        self.omega = _check_edge(graph, group, omega)
+        self.omega = _check_shape(graph, group, omega, "edge")
         blocks = green_blocks(graph, group)
         self._order = np.concatenate(blocks)
         bounds = np.cumsum([0] + [ALG_DIM[group] * len(b) for b in blocks])
@@ -339,7 +329,7 @@ class GreenOperator:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """u with (d* d) u = v on based fields; relative residual checked."""
-        v = _check_vertex(self.graph, self.group, v)
+        v = _check_shape(self.graph, self.group, v, "vertex")
         rhs = v[self._order].ravel()
         y, x = np.empty_like(rhs), np.empty_like(rhs)
         rs, ys, xs = ([a[s] for s in self._slices] for a in (rhs, y, x))
@@ -372,14 +362,14 @@ def horizontal_project(graph: GraphX, group: str, omega: np.ndarray, xi: np.ndar
                        gop: GreenOperator | None = None) -> np.ndarray:
     """xi - d_w (G_w d_w* xi): orthogonal projection onto ker d_w*."""
     mu = connection_form(graph, group, omega, xi, gop)
-    return _check_edge(graph, group, xi) - cov_deriv(graph, group, omega, mu)
+    return _check_shape(graph, group, xi, "edge") - cov_deriv(graph, group, omega, mu)
 
 
 def ad_star(graph: GraphX, group: str, xi1: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Adjoint of mu -> [xi1, mu_avg]; closed form -1/2 sum_{e at v} [xi1(e), eta(e)],
     basepoint row zeroed.  Antisymmetric in (xi1, eta)."""
-    xi1 = _check_edge(graph, group, xi1)
-    eta = _check_edge(graph, group, eta)
+    xi1 = _check_shape(graph, group, xi1, "edge")
+    eta = _check_shape(graph, group, eta, "edge")
     br = -0.5 * alg_bracket(group, xi1, eta)
     return project_based(graph, _vertex_sums(graph, (br, br)))
 
@@ -514,7 +504,7 @@ def pair_edge_with_tangent(graph: GraphX, group: str, xi: np.ndarray,
 
     This is the single swappable modeling choice for the mixed curvature term.
     """
-    xi = _check_edge(graph, group, xi)
+    xi = _check_shape(graph, group, xi, "edge")
     val = zeta.magnitude * xi[zeta.edge]
     return _ad_inverse(group, q.element, val)
 

@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from caloron import cli, lattice as lat, serialize, universal
 from caloron.cli import (EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform,
                          main, run)
-from caloron.errors import ConfigError, ShapeError, SingularOperatorError, SizeLimitError
-from caloron.lattice import SCALAR, SU2, U1, FormField, Grid, LinkField
+from caloron.errors import ConfigError, SingularOperatorError, SizeLimitError
+from caloron.lattice import SU2, U1, Grid
 from caloron.scene import MAX_CONNECTION_BYTES, SceneConfig, parse_config_text, report_hash
 from caloron.transform import ProductConnection, forward_transform
 
@@ -56,43 +56,11 @@ def test_pair_doc_round_trip():
     assert phi2.twist == -1
 
 
-def test_links_doc_round_trip():
-    g = Grid(sizes=(6, 6), base_axes=(0,))
-    u = lat.constant_curvature_torus(Grid(sizes=(6, 6)), 1)
-    u = LinkField(g, U1, u.links)
-    doc = json.loads(json.dumps(serialize.links_to_doc(u)))
-    back = serialize.links_from_doc(doc)
-    for a in range(2):
-        assert np.array_equal(back.links[a], u.links[a])
-    for key in _NONCANONICAL_KEYS + ["0,1", ""]:
-        bad = dict(doc, links={key: doc["links"]["0"], "1": doc["links"]["1"]})
-        with pytest.raises(ConfigError):
-            serialize.links_from_doc(bad)
-
-
 def test_document_kind():
     w = _connection()
     assert serialize.document_kind(serialize.connection_to_doc(w)) == "product_connection"
     assert serialize.document_kind(serialize.pair_to_doc(*forward_transform(w))) == \
         "transform_pair"
-
-
-def test_form_doc_round_trip_and_key_validation():
-    g = Grid(sizes=(4, 6, 8), base_axes=(0,))
-    f = FormField(g, SCALAR, 2, {(0, 2): np.arange(4 * 6 * 8).reshape(g.sizes) * 1j})
-    doc = json.loads(json.dumps(serialize.form_to_doc(f)))
-    assert set(doc["components"]) == {"0,2"}
-    back = serialize.form_from_doc(doc)
-    assert set(back.comps) == {(0, 2)}
-    assert np.array_equal(back.comps[(0, 2)], f.comps[(0, 2)])
-    data = doc["components"]["0,2"]
-    for key in ("00,2", "0, 2", "+0,2", "0,2,", "0,,2", "0_0,2", "０,2"):
-        doc["components"] = {key: data}
-        with pytest.raises(ConfigError, match="must be written|malformed"):
-            serialize.form_from_doc(doc)
-    doc["components"] = {"2,0": data}
-    with pytest.raises(ShapeError):
-        serialize.form_from_doc(doc)
 
 
 def _decode_array_oracle(data, group):
@@ -690,6 +658,28 @@ def test_scene_config_at_size_limit(group, fiber):
         SceneConfig({"base.sizes": "65,64", "fiber.sizes": fiber, "group": group})
 
 
+@pytest.mark.parametrize("group,family", [(SU2, "u1_harmonic"), (U1, "su2_band_limited"),
+                                          (U1, "constant_curvature_torus")])
+def test_classes_family_of_another_group_exit_code(tmp_path, capsys, monkeypatch,
+                                                   group, family):
+    """A scene family that does not sample the scene's group, or samples no
+    connection at all, exits 2 before anything is sampled."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(lat, "band_limited_scalar", no_sampling)
+    scene = (f"base.sizes = 4\nfiber.sizes = 8\ngroup = {group}\n"
+             f"family = {family}\nclasses = 1\n")
+    with pytest.raises(ConfigError, match="is not a sample family of group"):
+        SceneConfig(parse_config_text(scene))
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(scene)
+    assert main(["classes", "--config", str(cfg),
+                 "--report", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+    assert "is not a sample family of group" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_classes_max_mode_bound_exit_code(tmp_path, capsys):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text("base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\n"
@@ -766,7 +756,8 @@ def test_transform_malformed_values_exit_code(tmp_path, capsys, path, value):
     ("A", "00", "inverse"),
     ("Phi", "+1", "inverse"),
     ("Phi", "２", "roundtrip"),
-])
+] + [(block, key, "inverse" if block != "components" else "forward")
+     for block in ("components", "A", "Phi") for key in ("0,1", "")])
 def test_transform_stray_component_key_exit_code(tmp_path, capsys, block, key,
                                                  direction):
     """A component for an axis the block does not have is rejected, not
@@ -780,7 +771,8 @@ def test_transform_stray_component_key_exit_code(tmp_path, capsys, block, key,
     src.write_text(json.dumps(doc))
     assert main(["transform", "--input", str(src), "--direction", direction,
                  "--output", str(tmp_path / "out.json")]) == EXIT_VALIDATION
-    want = "no axis" if str(int(key)) == key else "must be written"
+    canonical = key.lstrip("-").isdecimal() and str(int(key)) == key
+    want = "no axis" if canonical else "must be written"
     assert want in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 

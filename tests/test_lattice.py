@@ -358,6 +358,11 @@ def test_sample_deterministic():
 def test_sample_unknown_family():
     with pytest.raises(ConfigError):
         lat.sample("nope", _grid2(8))
+    # a family samples only its own group, and links are no sample family
+    for fam, group in (("u1_harmonic", SU2), ("su2_band_limited", U1),
+                       ("constant_curvature_torus", U1), ("zero", U1)):
+        with pytest.raises(ConfigError, match="is not a sample family of group"):
+            lat.sample(fam, _grid2(8), group)
 
 
 def test_form_shape_validation():

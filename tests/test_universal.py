@@ -75,6 +75,16 @@ def test_parse_graph():
     t = parse_graph("torus:3:4")
     assert (t.n_vertices, t.n_edges) == (12, 24)
     assert len(t.plaquettes) == 12
+    # each face (bottom, right, top, left) is a unit square: bottom and top
+    # run along x from its lower and upper corners, left and right along y
+    for nx, ny in ((3, 4), (5, 3)):
+        t = GraphX.torus(nx, ny)
+        for b, r, tp, l in t.plaquettes:
+            (v, vx), (v2, vy), (vx2, w), (vy2, w2) = (t.edges[e] for e in (b, l, r, tp))
+            assert (v, vx, vy) == (v2, vx2, vy2) and w == w2
+            assert vx == (v + ny) % (nx * ny) and vy == v - v % ny + (v + 1) % ny
+        assert sorted(e for face in t.plaquettes for e in face) == \
+            sorted(2 * list(range(t.n_edges)))
     with pytest.raises(ConfigError):
         parse_graph("chain:5")
     for bad in ("torus:x:4", "ring:abc", "ring:2.5", "torus:4", "ring:4:4",

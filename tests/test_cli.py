@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -99,15 +100,49 @@ def test_encode_decode_keeps_special_values_bit_exact(group, shape):
     assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
 
 
-def test_save_document_bytes_match_json_dump(tmp_path):
-    w = _connection(SU2, seed=6)
-    doc = serialize.connection_to_doc(w)
-    doc["note"] = {"unicode": "\u00e9", "float": 0.1, "neg_zero": -0.0}
+def _noted_document():
+    doc = serialize.connection_to_doc(_connection(SU2, seed=6))
+    doc["note"] = {"unicode": "\u00e9", "float": 0.1, "neg_zero": -0.0,
+                   "nested": {"empty": {}}, "empty_list": [], "cl\u00e9": "\u00e9\n",
+                   "nan": float("nan"), "inf": [float("inf"), -float("inf")],
+                   2: None, True: 1.5}  # json.dumps writes keys 2 and True as "2", "true"
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [
+    lambda: serialize.connection_to_doc(_connection(U1, seed=5, twist=2)),
+    lambda: serialize.connection_to_doc(_connection(SU2, seed=6)),
+    lambda: serialize.pair_to_doc(*forward_transform(_connection(SU2, seed=7))),
+    _noted_document,
+], ids=["u1-connection", "su2-connection", "su2-pair", "noted"])
+def test_save_document_bytes_match_json_dump(tmp_path, make_doc):
+    """The streamed writer writes json.dumps's bytes, and json.dump's."""
+    doc = make_doc()
     path = tmp_path / "fast.json"
     serialize.save_document(doc, str(path))
     with open(tmp_path / "stream.json", "w") as fh:
         json.dump(doc, fh)
+    assert path.read_bytes() == json.dumps(doc).encode()
     assert path.read_bytes() == (tmp_path / "stream.json").read_bytes()
+
+
+def test_save_document_peak_memory(tmp_path):
+    """Writing a document holds neither its whole text nor the encoder's
+    pieces of it: with the collector paused, as `transform` runs, the traced
+    peak stays under half the file (one text of the whole would be 2x)."""
+    grid = Grid(sizes=(4,) * 6, base_axes=(0, 1, 2))
+    A = lat.sample("su2_band_limited", grid, SU2, {"max_mode": 1}, seed=8)
+    doc = serialize.connection_to_doc(ProductConnection.from_one_form(A))
+    path = tmp_path / "w.json"
+    with serialize.collector_paused():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            serialize.save_document(doc, str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +665,18 @@ def test_transform_output_hash_pinned(tmp_path, group, seed, want_pair, want_bac
 
 
 @pytest.mark.parametrize("scene,refine", [
-    ("base.sizes = 4096,4096\nfiber.sizes = 4096,4096\n", False),
-    ("base.sizes = 64,64\nfiber.sizes = 64,64\ngroup = su2\n", False),
+    ("base.sizes = 4096,4096\nfiber.sizes = 4096,4096\nfamily = u1_harmonic\n", False),
+    ("base.sizes = 64,64\nfiber.sizes = 64,64\ngroup = su2\nfamily = su2_band_limited\n",
+     False),
     # 2^23 points: 512 MiB for the u1 connection, 8 GiB refined
-    ("base.sizes = 64,64\nfiber.sizes = 64,32\n", True),
+    ("base.sizes = 64,64\nfiber.sizes = 64,32\nfamily = u1_harmonic\n", True),
 ], ids=["u1-4096^4", "su2-64^4", "u1-refined"])
 def test_classes_connection_size_limit_exit_code(tmp_path, capsys, scene, refine):
     """A scene whose connection would exceed MAX_CONNECTION_BYTES exits 2
-    before anything is sampled."""
+    before anything is sampled; each scene's family belongs to its group, so
+    only the size can fail it."""
     cfg = tmp_path / "scene.cfg"
-    cfg.write_text(scene + "family = u1_harmonic\nclasses = 0\n")
+    cfg.write_text(scene + "classes = 0\n")
     start = time.perf_counter()
     assert main(["classes", "--config", str(cfg)] + ["--refine"] * refine) == \
         EXIT_VALIDATION

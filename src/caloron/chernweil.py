@@ -28,17 +28,11 @@ from .lattice import (
     trace2,
     value_shape,
 )
-from .transform import (
-    GaugeGroupConnection,
-    HiggsFieldMap,
-    ProductConnection,
-    curvature_split,
-    inverse_transform,
-)
+from .transform import ProductConnection, curvature_split
 
 SYM_TRACE = "sym_trace"
 CHERN = "chern_normalized"
-ABELIAN = "abelian_power"
+KINDS = (CHERN, SYM_TRACE)
 
 MAX_POLY_DEGREE = 6
 
@@ -53,8 +47,9 @@ class InvariantPolynomial:
     def __post_init__(self):
         if not 1 <= self.degree <= MAX_POLY_DEGREE:
             raise DegreeError(f"polynomial degree {self.degree} outside 1..{MAX_POLY_DEGREE}")
-        if self.kind not in (SYM_TRACE, CHERN, ABELIAN):
-            raise DomainError(f"unknown polynomial kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise DomainError(f"unknown polynomial kind {self.kind!r}; "
+                              f"known kinds: {', '.join(KINDS)}")
 
     @property
     def normalization(self) -> complex:
@@ -93,8 +88,6 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     for a in args:
         if a.grid != grid or a.group != group:
             raise ShapeError("arguments live on different grids/groups")
-    if f.kind == ABELIAN and group != U1:
-        raise DomainError("abelian_power applies to U(1) data only")
     total_degree = sum(a.degree for a in args)
     if total_degree > grid.dim:
         return FormField.zero(grid, SCALAR, total_degree)
@@ -285,33 +278,28 @@ class CaloronClassReport:
     class_form: FormField
     pairings: list = field(default_factory=list)  # (cycle id, value)
     closedness_residual: float = 0.0
-    degree_overflow: bool = False
-    metadata: dict = field(default_factory=dict)
 
 
 def _connection(data) -> ProductConnection:
-    """Accept a ProductConnection or an (A, Phi) pair; a pair is reassembled
-    into its connection, which shares its arrays."""
-    if isinstance(data, (tuple, list)) and \
-            tuple(map(type, data)) == (GaugeGroupConnection, HiggsFieldMap):
-        data = inverse_transform(*data)
+    """data itself, which must be a ProductConnection."""
     if type(data) is not ProductConnection:
-        raise ShapeError("expected a ProductConnection or a "
-                         "(GaugeGroupConnection, HiggsFieldMap) pair")
+        raise ShapeError(f"expected a ProductConnection, got {type(data).__name__}")
     return data
 
 
-def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = None,
+def caloron_class(data: ProductConnection, f: InvariantPolynomial, r: int,
+                  cycles: list | None = None,
                   symbolic_path: bool = False) -> CaloronClassReport:
-    """Fiber-integrated bidegree-(2k-d, d) part of f applied to the total curvature.
+    """Fiber-integrated bidegree-(2k-d, d) part of f applied to the total curvature
+    of the connection `data`.
 
-    `data` is a ProductConnection or an (A, Phi) pair.  `cycles` is a list of
-    (name, axes-of-the-base, basepoint) entries; pairings are reported for
-    each.  With symbolic_path=True the exact integrand words are evaluated
-    term by term instead of filtering numerically.  The curvature, the
-    integrand and its fiber mean are computed one slab of base axis 0 at a
-    time, so no whole product-grid form is held; the class form is bit for
-    bit that of the whole-grid computation.
+    `cycles` is a list of (name, axes-of-the-base, basepoint) entries;
+    pairings are reported for each.  With symbolic_path=True the exact
+    integrand words are evaluated term by term instead of filtering
+    numerically.  The curvature, the integrand and its fiber mean are
+    computed one slab of base axis 0 at a time, so no whole product-grid
+    form is held; the class form is bit for bit that of the whole-grid
+    computation.
     """
     w = _connection(data)
     grid = w.grid
@@ -324,7 +312,6 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
         raise DegreeError(f"(r={r}, d={d}) gives polynomial degree k={k} < 1")
     if f.degree != k:
         raise ArityError(f"polynomial degree {f.degree} != required k={k}")
-    overflow = 2 * k > grid.dim
 
     if symbolic_path:
         integrand = symbolic.caloron_integrand(d, k)
@@ -348,15 +335,11 @@ def caloron_class(data, f: InvariantPolynomial, r: int, cycles: list | None = No
     pairings = []
     for name, axes, basepoint in (cycles or []):
         pairings.append((name, pair_with_cycle(class_form, axes, basepoint)))
-    return CaloronClassReport(
-        r=r, d=d, k=k, class_form=class_form, pairings=pairings,
-        closedness_residual=residual, degree_overflow=overflow,
-        metadata={"group": w.group, "sizes": grid.sizes, "kind": f.kind,
-                  "path": "symbolic" if symbolic_path else "numeric"},
-    )
+    return CaloronClassReport(r=r, d=d, k=k, class_form=class_form, pairings=pairings,
+                              closedness_residual=residual)
 
 
-def string_class(data, f: InvariantPolynomial, k: int,
+def string_class(data: ProductConnection, f: InvariantPolynomial, k: int,
                  cycles: list | None = None) -> CaloronClassReport:
     """The string class: the degree-(2k-1) caloron class of a circle fiber.
 

@@ -145,7 +145,7 @@ def cmd_classes(args) -> int:
     start = time.time()
     cfg = SceneConfig(load_config(args.config))
     if args.refine:
-        cfg.check_size(cfg.grid.refine(2))
+        cfg.check_size(cfg.grid.refine())
     reports = _classes_for_scene(cfg)
     checks, pairings = [], []
     for rep in reports:
@@ -159,7 +159,7 @@ def cmd_classes(args) -> int:
         checks.append(Check(f"closedness_r{rep.r}", rep.closedness_residual))
 
     if args.refine:
-        fine = _classes_for_scene(cfg, cfg.grid.refine(2))
+        fine = _classes_for_scene(cfg, cfg.grid.refine())
         for coarse_rep, fine_rep in zip(reports, fine):
             rc, rf = coarse_rep.closedness_residual, fine_rep.closedness_residual
             ratio = rc / rf if rf > 1e-14 else float("inf")
@@ -174,8 +174,6 @@ def cmd_classes(args) -> int:
 def cmd_universal(args) -> int:
     start = time.time()
     graph = parse_graph(args.graph)
-    if args.group not in (U1, SU2):
-        raise ConfigError(f"unknown group {args.group!r}")
     checks = run_property_suite(graph, args.group, seed=args.seed)
     report = {"command": "universal",
               "config": {"graph": args.graph, "group": args.group, "seed": args.seed}}
@@ -243,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("expand", help="print a caloron class integrand")
     pe.add_argument("--fiber-dim", type=int, required=True, dest="fiber_dim")
     pe.add_argument("--poly-degree", type=int, required=True, dest="poly_degree")
-    pe.add_argument("--latex", action="store_true")
-    pe.add_argument("--json", action="store_true")
+    style = pe.add_mutually_exclusive_group()
+    style.add_argument("--latex", action="store_true")
+    style.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_expand)
 
     pt = sub.add_parser("transform", help="run the caloron transform on a JSON document")
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pu = sub.add_parser("universal", help="run the universal-connection property suite")
     pu.add_argument("--graph", default="ring:8")
-    pu.add_argument("--group", default=U1)
+    pu.add_argument("--group", choices=(U1, SU2), default=U1)
     pu.add_argument("--seed", type=_seed, default=0)
     pu.add_argument("--report", default=None)
     pu.set_defaults(func=cmd_universal)

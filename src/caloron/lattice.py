@@ -22,6 +22,10 @@ from .errors import BranchCutError, ConfigError, DegreeError, ShapeError
 
 TWO_PI = 2.0 * pi
 
+# the largest rotation angle group_log takes and a twist's plaquette angle may
+# reach: a guard band of 1e-6 below the principal logarithm's cut at pi
+MAX_ANGLE = pi - 1e-6
+
 U1 = "u1"
 SU2 = "su2"
 SCALAR = "scalar"  # complex-number-valued forms (after applying an invariant polynomial)
@@ -114,8 +118,9 @@ class Grid:
         object.__setattr__(slab, "sizes", (count,) + self.sizes[1:])
         return slab
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return replace(self, sizes=tuple(n * factor for n in self.sizes))
+    def refine(self) -> "Grid":
+        """The grid with every size doubled."""
+        return replace(self, sizes=tuple(n * 2 for n in self.sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +165,16 @@ def group_exp(group: str, X: np.ndarray) -> np.ndarray:
     return c + s
 
 
-def group_log(group: str, U: np.ndarray, guard: float = 1e-6) -> np.ndarray:
-    """Principal logarithm; raises on rotation angles within `guard` of pi."""
+def group_log(group: str, U: np.ndarray) -> np.ndarray:
+    """Principal logarithm; raises on rotation angles of MAX_ANGLE or more."""
     if group == U1:
         ang = np.angle(U)
-        if np.any(np.abs(ang) >= pi - guard):
+        if np.any(np.abs(ang) >= MAX_ANGLE):
             raise BranchCutError("U(1) holonomy angle within guard band of pi; refine the grid")
         return 1j * ang
     tr_half = np.real(trace2(U)) / 2.0
     theta = np.arccos(np.clip(tr_half, -1.0, 1.0))
-    if np.any(theta >= pi - guard):
+    if np.any(theta >= MAX_ANGLE):
         raise BranchCutError("SU(2) holonomy angle within guard band of pi; refine the grid")
     # U = cos(theta) I + i sin(theta) (n . sigma); recover n sin(theta) from the
     # anti-Hermitian traceless part of U
@@ -548,8 +553,7 @@ def gauge_transform_connection(A: FormField, g: np.ndarray) -> FormField:
 # sample configurations
 
 
-def band_limited_scalar(grid: Grid, max_mode: int, rng: np.random.Generator,
-                        amplitude: float = 1.0) -> np.ndarray:
+def band_limited_scalar(grid: Grid, max_mode: int, rng: np.random.Generator) -> np.ndarray:
     """Real random trigonometric polynomial with per-axis modes up to max_mode.
 
     Each mode combination's cosine is evaluated only on the axes where its
@@ -566,7 +570,7 @@ def band_limited_scalar(grid: Grid, max_mode: int, rng: np.random.Generator,
     for combo in product(modes, repeat=grid.dim):
         if not any(combo):
             continue
-        amp = amplitude * rng.standard_normal() / (1 + sum(m * m for m in combo))
+        amp = rng.standard_normal() / (1 + sum(m * m for m in combo))
         phase = rng.uniform(0.0, TWO_PI)
         arg = None
         for axis, m in enumerate(combo):
@@ -621,7 +625,7 @@ def constant_curvature_torus(grid: Grid, c: int) -> LinkField:
     if grid.dim != 2:
         raise ConfigError("constant_curvature_torus needs a 2-dimensional grid")
     nx, ny = grid.sizes
-    if abs(c) * TWO_PI / (nx * ny) >= pi - 1e-6:
+    if abs(c) * TWO_PI / (nx * ny) >= MAX_ANGLE:
         raise ConfigError("twist too large for this grid; refine")
     jx = np.arange(nx).reshape(nx, 1)
     jy = np.arange(ny).reshape(1, ny)

@@ -20,7 +20,14 @@ DEFAULT_LENGTH = TWO_PI
 MAX_CONNECTION_BYTES = 2 ** 30
 
 
+# every key a scene config may set
+SCENE_KEYS = ("base.sizes", "fiber.sizes", "base.lengths", "fiber.lengths", "group",
+              "family", "family.max_mode", "seed", "twist", "poly.kind", "classes",
+              "tol.pairing", "expect.pairing")
+
+
 def parse_config_text(text: str) -> dict:
+    """The key = value lines of a config; a key given twice is a ConfigError."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -28,8 +35,10 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -58,6 +67,10 @@ class SceneConfig:
     """Validated scene: grids, group, sample family, twist, polynomial, classes."""
 
     def __init__(self, raw: dict):
+        unknown = sorted(set(raw) - set(SCENE_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown scene key {unknown[0]!r}; known keys: "
+                              + ", ".join(SCENE_KEYS))
         self.raw = dict(raw)
         base_sizes = _int_list(raw.get("base.sizes", "4"))
         fiber_sizes = _int_list(raw.get("fiber.sizes", "16"))

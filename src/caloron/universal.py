@@ -121,13 +121,12 @@ class GraphX:
         return np.concatenate((self.heads, self.tails))
 
     @classmethod
-    def ring(cls, n: int, basepoint: int = 0) -> "GraphX":
+    def ring(cls, n: int) -> "GraphX":
         _check_vertex_count(n)
-        edges = tuple((i, (i + 1) % n) for i in range(n))
-        return cls(n, edges, basepoint)
+        return cls(n, tuple((i, (i + 1) % n) for i in range(n)))
 
     @classmethod
-    def torus(cls, nx: int, ny: int, basepoint: int = 0) -> "GraphX":
+    def torus(cls, nx: int, ny: int) -> "GraphX":
         """Grid graph on a torus; x-edges first, then y-edges.  The torus is
         ring:nx x ring:ny, so each side needs at least 3 vertices."""
         for name, side in (("nx", nx), ("ny", ny)):
@@ -145,7 +144,7 @@ class GraphX:
         # the x-edge from cell (i, j) is edge vid(i, j), its y-edge n + vid(i, j)
         plaq = tuple((vid(i, j), n + vid(i + 1, j), vid(i, j + 1), n + vid(i, j))
                      for i, j in cells)
-        return cls(n, tuple(edges), basepoint, plaq)
+        return cls(n, tuple(edges), plaquettes=plaq)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -351,18 +350,17 @@ class GreenOperator:
         return out
 
 
-def connection_form(graph: GraphX, group: str, omega: np.ndarray, xi: np.ndarray,
-                    gop: GreenOperator | None = None) -> np.ndarray:
-    """G_w d_w* xi: the universal connection applied to a tangent edge field."""
-    gop = gop or GreenOperator(graph, group, omega)
-    return gop.solve(adjoint_cov_deriv(graph, group, omega, xi))
+def connection_form(gop: GreenOperator, xi: np.ndarray) -> np.ndarray:
+    """G_w d_w* xi: the universal connection at gop.omega applied to a tangent
+    edge field."""
+    return gop.solve(adjoint_cov_deriv(gop.graph, gop.group, gop.omega, xi))
 
 
-def horizontal_project(graph: GraphX, group: str, omega: np.ndarray, xi: np.ndarray,
-                       gop: GreenOperator | None = None) -> np.ndarray:
-    """xi - d_w (G_w d_w* xi): orthogonal projection onto ker d_w*."""
-    mu = connection_form(graph, group, omega, xi, gop)
-    return _check_shape(graph, group, xi, "edge") - cov_deriv(graph, group, omega, mu)
+def horizontal_project(gop: GreenOperator, xi: np.ndarray) -> np.ndarray:
+    """xi - d_w (G_w d_w* xi): orthogonal projection onto ker d_w* at gop.omega."""
+    graph, group = gop.graph, gop.group
+    mu = connection_form(gop, xi)
+    return _check_shape(graph, group, xi, "edge") - cov_deriv(graph, group, gop.omega, mu)
 
 
 def ad_star(graph: GraphX, group: str, xi1: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -374,23 +372,26 @@ def ad_star(graph: GraphX, group: str, xi1: np.ndarray, eta: np.ndarray) -> np.n
     return project_based(graph, _vertex_sums(graph, (br, br)))
 
 
-def _require_horizontal(graph: GraphX, group: str, omega: np.ndarray, xi: np.ndarray,
-                        tol: float = 1e-8) -> None:
-    res = np.max(np.abs(adjoint_cov_deriv(graph, group, omega, xi)))
-    if res > tol:
-        raise DomainError(f"edge field is not horizontal: |d* xi| = {res:.3e} > {tol}")
+# largest |d_w* xi| of an edge field taken as horizontal
+_HORIZONTAL_TOLERANCE = 1e-8
 
 
-def universal_curvature_FA(graph: GraphX, group: str, omega: np.ndarray,
-                           xi1: np.ndarray, xi2: np.ndarray,
-                           gop: GreenOperator | None = None) -> np.ndarray:
-    """G_w ad*_{xi1}(xi2) on horizontal edge fields; identically zero for u(1)."""
-    _require_horizontal(graph, group, omega, xi1)
-    _require_horizontal(graph, group, omega, xi2)
-    if group == U1:
-        return np.zeros((graph.n_vertices, 1))
-    gop = gop or GreenOperator(graph, group, omega)
-    return gop.solve(ad_star(graph, group, xi1, xi2))
+def _require_horizontal(gop: GreenOperator, xi: np.ndarray) -> None:
+    res = np.max(np.abs(adjoint_cov_deriv(gop.graph, gop.group, gop.omega, xi)))
+    if res > _HORIZONTAL_TOLERANCE:
+        raise DomainError(f"edge field is not horizontal: |d* xi| = {res:.3e} > "
+                          f"{_HORIZONTAL_TOLERANCE}")
+
+
+def universal_curvature_FA(gop: GreenOperator, xi1: np.ndarray,
+                           xi2: np.ndarray) -> np.ndarray:
+    """G_w ad*_{xi1}(xi2) on horizontal edge fields at gop.omega; identically
+    zero for u(1)."""
+    _require_horizontal(gop, xi1)
+    _require_horizontal(gop, xi2)
+    if gop.group == U1:
+        return np.zeros((gop.graph.n_vertices, 1))
+    return gop.solve(ad_star(gop.graph, gop.group, xi1, xi2))
 
 
 def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
@@ -424,14 +425,13 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
 
     # connection form reproduces vertical generators
     vert = cov_deriv(graph, group, omega, mu)
-    check("vertical_reproduction",
-          np.max(np.abs(connection_form(graph, group, omega, vert, gop) - mu)), 1e-9)
+    check("vertical_reproduction", np.max(np.abs(connection_form(gop, vert) - mu)), 1e-9)
 
     # horizontal projector: image in ker d*, idempotent, norm non-increasing
-    ph = horizontal_project(graph, group, omega, xi, gop)
+    ph = horizontal_project(gop, xi)
     check("projector_horizontal",
           np.max(np.abs(adjoint_cov_deriv(graph, group, omega, ph))), 1e-10)
-    ph2 = horizontal_project(graph, group, omega, ph, gop)
+    ph2 = horizontal_project(gop, ph)
     check("projector_idempotent", np.max(np.abs(ph2 - ph)), 1e-10)
     check("projector_contraction",
           max(np.linalg.norm(ph) - np.linalg.norm(xi), 0.0), 1e-12)
@@ -446,46 +446,27 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
     check("ad_star_pairing", abs(pair_lhs - pair_rhs), 1e-12)
 
     # curvature checks on horizontal fields; ph is the horizontal part of xi
-    h1, h2 = ph, horizontal_project(graph, group, omega, eta, gop)
-    f12 = universal_curvature_FA(graph, group, omega, h1, h2, gop)
+    h1, h2 = ph, horizontal_project(gop, eta)
+    f12 = universal_curvature_FA(gop, h1, h2)
     if group == U1:
         check("abelian_FA_vanishing", np.max(np.abs(f12)), 0.0)
         f21 = f12  # the zero field of universal_curvature_FA(h2, h1)
     else:
-        f21 = universal_curvature_FA(graph, group, omega, h2, h1, gop)
+        f21 = universal_curvature_FA(gop, h2, h1)
         check("FA_antisymmetry", np.max(np.abs(f12 + f21)), 1e-10)
 
+    # a fiber point (vertex, group element) and two tangents (edge, magnitude)
+    vertex = 1 % graph.n_vertices
     if group == U1:
-        q = FiberPoint(vertex=1 % graph.n_vertices, element=np.exp(0.3j))
+        element = np.exp(0.3j)
     else:
-        q = FiberPoint(vertex=1 % graph.n_vertices,
-                       element=group_exp(SU2, su2_from_coords(np.array([0.2, -0.1, 0.4]))))
-    z1 = FiberTangent(edge=0, magnitude=1.0)
-    z2 = FiberTangent(edge=1 % graph.n_edges, magnitude=-0.5)
-    V1, V2 = (h1, z1), (h2, z2)
-    full12 = _curvature_full(graph, group, omega, q, f12, V1, V2)
-    full21 = _curvature_full(graph, group, omega, q, f21, V2, V1)
+        element = group_exp(SU2, su2_from_coords(np.array([0.2, -0.1, 0.4])))
+    z1, z2 = (0, 1.0), (1 % graph.n_edges, -0.5)
+    full12 = _curvature_full(gop, vertex, element, f12, h1, z1, h2, z2)
+    full21 = _curvature_full(gop, vertex, element, f21, h2, z2, h1, z1)
     check("full_curvature_antisymmetry", np.max(np.abs(full12 + full21)), 1e-10)
 
     return results
-
-
-@dataclass
-class FiberPoint:
-    """Point of the trivialized bundle over the graph: vertex plus group coordinate
-    (u(1): unit complex; su(2): 2x2 matrix)."""
-
-    vertex: int
-    element: np.ndarray
-
-
-@dataclass
-class FiberTangent:
-    """Horizontal lattice tangent at a fiber point: an outgoing edge id with a
-    magnitude for the base direction."""
-
-    edge: int
-    magnitude: float = 0.0
 
 
 def _ad_inverse(group: str, element, value: np.ndarray) -> np.ndarray:
@@ -497,27 +478,16 @@ def _ad_inverse(group: str, element, value: np.ndarray) -> np.ndarray:
     return su2_coords(np.conj(U.T) @ X @ U)
 
 
-def pair_edge_with_tangent(graph: GraphX, group: str, xi: np.ndarray,
-                           q: FiberPoint, zeta: FiberTangent) -> np.ndarray:
-    """The lattice meaning of xi(zeta) at q: the edge value of xi at zeta's edge,
-    scaled by zeta's magnitude and conjugated to the fiber point.
-
-    This is the single swappable modeling choice for the mixed curvature term.
-    """
-    xi = _check_shape(graph, group, xi, "edge")
-    val = zeta.magnitude * xi[zeta.edge]
-    return _ad_inverse(group, q.element, val)
-
-
-def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray,
-                               q: FiberPoint, z1: FiberTangent,
-                               z2: FiberTangent) -> np.ndarray:
-    """F_w(q)(z1, z2) from the plaquette containing the two edge directions;
-    identically zero on graphs without faces (rings)."""
+def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray, element,
+                               z1: tuple, z2: tuple) -> np.ndarray:
+    """F_w(z1, z2) at a fiber point over the group element `element`, from the
+    plaquette containing the two tangents' edges; z1 and z2 are (edge,
+    magnitude).  Identically zero on graphs without faces (rings)."""
+    (e1, m1), (e2, m2) = z1, z2
     if not graph.plaquettes:
         return np.zeros(ALG_DIM[group])
     for face in graph.plaquettes:
-        if z1.edge in face and z2.edge in face:
+        if e1 in face and e2 in face:
             break
     else:
         return np.zeros(ALG_DIM[group])
@@ -527,28 +497,32 @@ def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray,
     curl = (omega[e_r] - omega[e_l]) - (omega[e_t] - omega[e_b])
     curl = curl + alg_bracket(group, omega[e_b], omega[e_l])
     x_like, y_like = (e_b, e_t), (e_l, e_r)
-    if z1.edge in x_like and z2.edge in y_like:
+    if e1 in x_like and e2 in y_like:
         sign = 1.0
-    elif z1.edge in y_like and z2.edge in x_like:
+    elif e1 in y_like and e2 in x_like:
         sign = -1.0
     else:
         return np.zeros(ALG_DIM[group])
-    val = sign * z1.magnitude * z2.magnitude * curl
-    return _ad_inverse(group, q.element, val)
+    val = sign * m1 * m2 * curl
+    return _ad_inverse(group, element, val)
 
 
-def _curvature_full(graph: GraphX, group: str, omega: np.ndarray, q: FiberPoint,
-                    fa: np.ndarray, V1: tuple, V2: tuple) -> np.ndarray:
-    """Total universal curvature on a pair of (edge field, fiber tangent) vectors:
-    G_w ad*_{xi1}(xi2) at q, plus F_w(q)(z1, z2), plus the mixed term
-    (xi1(z2) - xi2(z1)) / 2.  fa is the first term's vertex field,
-    universal_curvature_FA of the edge fields xi1 and xi2, which the caller
-    already holds.  A FiberTangent has no vertical part, so the bracket of
-    vertical parts in that term is zero and left out."""
-    xi1, z1 = V1
-    xi2, z2 = V2
-    term1 = _ad_inverse(group, q.element, fa[q.vertex])
-    term2 = _omega_plaquette_curvature(graph, group, omega, q, z1, z2)
-    term3 = 0.5 * (pair_edge_with_tangent(graph, group, xi1, q, z2)
-                   - pair_edge_with_tangent(graph, group, xi2, q, z1))
+def _curvature_full(gop: GreenOperator, vertex: int, element, fa: np.ndarray,
+                    xi1: np.ndarray, z1: tuple, xi2: np.ndarray, z2: tuple) -> np.ndarray:
+    """Total universal curvature at the fiber point (vertex, element) on two
+    vectors, each an edge field xi and a horizontal fiber tangent z = (edge,
+    magnitude): G_w ad*_{xi1}(xi2) there, plus F_w(z1, z2), plus the mixed
+    term (xi1(z2) - xi2(z1)) / 2, where xi(z) is xi's value at z's edge
+    times z's magnitude, conjugated to the fiber point.  fa is the first
+    term's vertex field, universal_curvature_FA(gop, xi1, xi2), which the
+    caller already holds.  A fiber tangent has no vertical part, so the
+    bracket of vertical parts in that term is zero and left out."""
+    graph, group = gop.graph, gop.group
+    xi1 = _check_shape(graph, group, xi1, "edge")
+    xi2 = _check_shape(graph, group, xi2, "edge")
+    (e1, m1), (e2, m2) = z1, z2
+    term1 = _ad_inverse(group, element, fa[vertex])
+    term2 = _omega_plaquette_curvature(graph, group, gop.omega, element, z1, z2)
+    term3 = 0.5 * (_ad_inverse(group, element, m2 * xi1[e2])
+                   - _ad_inverse(group, element, m1 * xi2[e1]))
     return term1 + term2 + term3

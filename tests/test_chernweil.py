@@ -47,7 +47,7 @@ def test_invariant_polynomial_validation():
         InvariantPolynomial(0)
     with pytest.raises(DegreeError):
         InvariantPolynomial(7)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="known kinds: chern_normalized, sym_trace"):
         InvariantPolynomial(2, "bogus")
     assert InvariantPolynomial(2).normalization == pytest.approx(
         (1j / TWO_PI) ** 2)
@@ -113,7 +113,7 @@ def test_eval_invariant_su2_trace_oracle():
     assert out.comps[(0, 1)][site] == pytest.approx(np.trace(X[site]))
 
 
-def test_eval_invariant_degree_overflow_is_zero():
+def test_eval_invariant_above_grid_dimension_is_zero():
     g = Grid(sizes=(6, 6))
     F = FormField(g, U1, 2, {(0, 1): 1j * np.ones(g.sizes)})
     out = eval_invariant(InvariantPolynomial(2, "sym_trace"), [F, F])
@@ -218,7 +218,8 @@ def test_pair_input_matches_connection_input():
     w = ProductConnection.from_one_form(A)
     f = InvariantPolynomial(2)
     rep_w = caloron_class(w, f, 2, cycles=[("base", (0, 1), {})])
-    rep_pair = caloron_class(forward_transform(w), f, 2, cycles=[("base", (0, 1), {})])
+    w_pair = inverse_transform(*forward_transform(w))
+    rep_pair = caloron_class(w_pair, f, 2, cycles=[("base", (0, 1), {})])
     assert (rep_w.class_form - rep_pair.class_form).max_norm() < 1e-12
 
 
@@ -241,14 +242,15 @@ def test_string_class_needs_circle_fiber():
 
 
 def test_class_routines_reject_curvature_triple():
-    """The class routines take a connection or an (A, Phi) pair, not its
-    curvature."""
+    """The class routines take a connection, not its curvature or its
+    (A, Phi) pair."""
     g = Grid(sizes=(6, 6, 6), base_axes=(0, 1))
-    triple = curvature_split(ProductConnection.zero(g, U1, twist=1))
-    with pytest.raises(ShapeError):
-        caloron_class(triple, InvariantPolynomial(1), 1)
-    with pytest.raises(ShapeError):
-        string_class(triple, InvariantPolynomial(1), 1)
+    w = ProductConnection.zero(g, U1, twist=1)
+    for data in (curvature_split(w), forward_transform(w)):
+        with pytest.raises(ShapeError):
+            caloron_class(data, InvariantPolynomial(1), 1)
+        with pytest.raises(ShapeError):
+            string_class(data, InvariantPolynomial(1), 1)
 
 
 def test_closedness_residual_top_degree_convention():
@@ -280,8 +282,6 @@ def test_report_fields():
                         InvariantPolynomial(1), 0)
     assert isinstance(rep, CaloronClassReport)
     assert (rep.r, rep.d, rep.k) == (0, 2, 1)
-    assert rep.metadata["group"] == U1
-    assert rep.degree_overflow is False
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +403,16 @@ def test_streamed_class_matches_whole_grid_oracle(monkeypatch, short_switch_inte
     """Every class form component is bit for bit the whole-grid one, at 1, 2
     and 3 rows per slab (3 divides none of the first-axis sizes) and on 1, 2
     and 4 workers.  Every case has at least two slabs, so the slabs run off
-    the calling thread exactly when there is more than one worker."""
+    the calling thread exactly when there is more than one worker.  A pair
+    case classes the connection inverse_transform reassembles from the
+    (A, Phi) pair, against the oracle's curvature of the pair."""
     make, form, route, r, degree = _STREAM_CASES[case]
     w = make()
     data = {"connection": w, "pair": forward_transform(w)}[form]
     f = InvariantPolynomial(degree)
     want = _whole_grid_class(data, f, route, r)
+    if form == "pair":
+        data = inverse_transform(*data)
 
     row_bytes = w.comps[0][0].nbytes
     monkeypatch.setattr(chernweil, "_SLAB_BYTES", rows * row_bytes + row_bytes // 2)
@@ -560,7 +564,7 @@ def test_su2_class_forms_match_np_trace_oracle(monkeypatch, case):
     traces are taken by np.trace."""
     make, form, route = _SU2_TRACE_CASES[case]
     w = make()
-    data = {"connection": w, "pair": forward_transform(w)}[form]
+    data = {"connection": w, "pair": inverse_transform(*forward_transform(w))}[form]
     f = InvariantPolynomial(2)
 
     def class_form():

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from caloron import cli, lattice as lat, serialize, universal
+from caloron import chernweil, cli, lattice as lat, serialize, universal
 from caloron.cli import (EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform,
                          main, run)
 from caloron.errors import ConfigError, SingularOperatorError, SizeLimitError
 from caloron.lattice import SU2, U1, Grid
-from caloron.scene import MAX_CONNECTION_BYTES, SceneConfig, parse_config_text, report_hash
+from caloron.scene import (MAX_CONNECTION_BYTES, SCENE_KEYS, SceneConfig, parse_config_text,
+                           report_hash)
 from caloron.transform import ProductConnection, forward_transform
 
 
@@ -154,6 +155,57 @@ def test_parse_config_text():
     assert cfg == {"a.b": "1", "c": "x,y"}
     with pytest.raises(ConfigError):
         parse_config_text("no equals sign here")
+    with pytest.raises(ConfigError, match="line 3: key 'twist' given twice"):
+        parse_config_text("twist = 1\nseed = 2\n twist=2\n")
+
+
+@pytest.mark.parametrize("scene,key", [
+    ("fibre.sizes = 8,8\n", "fibre.sizes"),
+    ("twist = 1\ntwist = 2\n", "twist"),
+    ("classes = 0\nTwist = 1\n", "Twist"),
+])
+def test_classes_unknown_or_repeated_scene_key_exit_code(tmp_path, capsys, scene, key):
+    """A misspelt key would leave its default in force, and a repeated one
+    would let the last line win: each exits 2 and names the key."""
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(scene)
+    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+
+
+def test_scene_keys_are_the_fuzzed_scene_keys():
+    assert set(SCENE_KEYS) == set(_SCENE)
+
+
+def _formats_scene_block() -> list:
+    """The (key, value) lines of the scene-config block in docs/formats.md,
+    comments dropped."""
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    block = text.split("## Scene configuration", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    return [tuple(part.strip() for part in line.split("=", 1))
+            for line in block.splitlines() if line.strip()]
+
+
+def test_formats_scene_block_matches_code():
+    """docs/formats.md lists every scene key once, and names exactly the
+    polynomial kinds chernweil accepts."""
+    lines = _formats_scene_block()
+    keys = [key for key, _ in lines]
+    assert sorted(keys) == sorted(SCENE_KEYS)
+    (poly,) = [value for key, value in lines if key == "poly.kind"]
+    documented = {kind.strip() for kind in poly.split("#", 1)[1].split("|")}
+    assert documented == set(chernweil.KINDS)
+    SceneConfig(parse_config_text("\n".join(f"{k} = {v}" for k, v in lines)))
+
+
+def test_classes_unknown_poly_kind_exit_code(tmp_path, capsys):
+    """A poly.kind outside chernweil.KINDS exits 2, naming the kinds there are."""
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("fiber.sizes = 8,8\nclasses = 0\npoly.kind = power\n")
+    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "sym_trace" in err and "Traceback" not in err
 
 
 def test_scene_config_defaults_and_validation():
@@ -208,6 +260,13 @@ def test_expand_out_of_range_exit_code(capsys):
     assert main(["expand", "--fiber-dim", "9", "--poly-degree", "4"]) == \
         EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+def test_expand_latex_and_json_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--fiber-dim", "2", "--poly-degree", "2", "--latex", "--json"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--abelian"], ["--string"], ["--table"],
@@ -533,6 +592,13 @@ def test_universal_solve_tolerance_exit_code(capsys, monkeypatch, command):
     assert main(command.split()) == EXIT_TOLERANCE
     err = capsys.readouterr().err
     assert "tolerance error" in err and "Traceback" not in err
+
+
+def test_universal_unknown_group_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["universal", "--group", "u2"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "invalid choice: 'u2'" in capsys.readouterr().err
 
 
 def test_universal_has_no_checks_option(capsys):

@@ -8,8 +8,6 @@ from caloron.errors import (ConfigError, DomainError, ShapeError, SingularOperat
                             SizeLimitError)
 from caloron.lattice import SU2, U1
 from caloron.universal import (
-    FiberPoint,
-    FiberTangent,
     GraphX,
     GreenOperator,
     ad_star,
@@ -66,7 +64,7 @@ def test_graph_validation():
     with pytest.raises(ConfigError):
         GraphX(4, ((0, 1), (2, 3)))  # disconnected
     with pytest.raises(ConfigError):
-        GraphX.ring(4, basepoint=9)
+        GraphX(4, GraphX.ring(4).edges, 9)
 
 
 def test_parse_graph():
@@ -103,7 +101,7 @@ def test_graph_size_cap():
 
 def test_graph_levels():
     # [DERIVED] ring:8 from basepoint 2: distances 0, 1, 2, 3, 4 around both ways
-    levels = GraphX.ring(8, basepoint=2).levels
+    levels = GraphX(8, GraphX.ring(8).edges, 2).levels
     assert [lv.tolist() for lv in levels] == [[2], [1, 3], [0, 4], [5, 7], [6]]
     t = GraphX.torus(3, 4)
     assert t.levels is t.levels  # computed once per graph
@@ -275,7 +273,7 @@ def test_connection_form_reproduces_vertical():
     omega = rng.standard_normal((6, 3))
     mu = project_based(g, rng.standard_normal((6, 3)))
     vert = cov_deriv(g, SU2, omega, mu)
-    back = connection_form(g, SU2, omega, vert)
+    back = connection_form(GreenOperator(g, SU2, omega), vert)
     assert np.max(np.abs(back - mu)) < 1e-10
 
 
@@ -285,9 +283,9 @@ def test_horizontal_projector_properties():
     omega = rng.standard_normal((g.n_edges, 3))
     gop = GreenOperator(g, SU2, omega)
     xi = rng.standard_normal((g.n_edges, 3))
-    ph = horizontal_project(g, SU2, omega, xi, gop)
+    ph = horizontal_project(gop, xi)
     assert np.max(np.abs(adjoint_cov_deriv(g, SU2, omega, ph))) < 1e-10
-    ph2 = horizontal_project(g, SU2, omega, ph, gop)
+    ph2 = horizontal_project(gop, ph)
     assert np.max(np.abs(ph2 - ph)) < 1e-10
     assert np.linalg.norm(ph) <= np.linalg.norm(xi) + 1e-12
 
@@ -359,7 +357,7 @@ def test_curvature_requires_horizontal():
     omega = rng.standard_normal((5, 3))
     xi = rng.standard_normal((5, 3))  # generic, not horizontal
     with pytest.raises(DomainError):
-        universal_curvature_FA(g, SU2, omega, xi, xi)
+        universal_curvature_FA(GreenOperator(g, SU2, omega), xi, xi)
 
 
 def test_abelian_curvature_exactly_zero():
@@ -367,9 +365,9 @@ def test_abelian_curvature_exactly_zero():
     rng = np.random.default_rng(7)
     omega = rng.standard_normal((g.n_edges, 1))
     gop = GreenOperator(g, U1, omega)
-    h1 = horizontal_project(g, U1, omega, rng.standard_normal((g.n_edges, 1)), gop)
-    h2 = horizontal_project(g, U1, omega, rng.standard_normal((g.n_edges, 1)), gop)
-    fa = universal_curvature_FA(g, U1, omega, h1, h2, gop)
+    h1 = horizontal_project(gop, rng.standard_normal((g.n_edges, 1)))
+    h2 = horizontal_project(gop, rng.standard_normal((g.n_edges, 1)))
+    fa = universal_curvature_FA(gop, h1, h2)
     assert np.all(fa == 0.0)
 
 
@@ -378,10 +376,10 @@ def test_curvature_FA_antisymmetric():
     rng = np.random.default_rng(8)
     omega = rng.standard_normal((g.n_edges, 3))
     gop = GreenOperator(g, SU2, omega)
-    h1 = horizontal_project(g, SU2, omega, rng.standard_normal((g.n_edges, 3)), gop)
-    h2 = horizontal_project(g, SU2, omega, rng.standard_normal((g.n_edges, 3)), gop)
-    f12 = universal_curvature_FA(g, SU2, omega, h1, h2, gop)
-    f21 = universal_curvature_FA(g, SU2, omega, h2, h1, gop)
+    h1 = horizontal_project(gop, rng.standard_normal((g.n_edges, 3)))
+    h2 = horizontal_project(gop, rng.standard_normal((g.n_edges, 3)))
+    f12 = universal_curvature_FA(gop, h1, h2)
+    f21 = universal_curvature_FA(gop, h2, h1)
     assert np.max(np.abs(f12 + f21)) < 1e-10
 
 
@@ -395,16 +393,16 @@ def test_curvature_FA_matches_structure_equation(spec):
     rng = np.random.default_rng(3)
     omega = rng.standard_normal((g.n_edges, 3))
     gop = GreenOperator(g, SU2, omega)
-    xi, eta = (horizontal_project(g, SU2, omega, rng.standard_normal((g.n_edges, 3)), gop)
+    xi, eta = (horizontal_project(gop, rng.standard_normal((g.n_edges, 3)))
                for _ in range(2))
     t = 1e-5
 
     def D(direction, arg):
-        plus = connection_form(g, SU2, omega + t * direction, arg)
-        minus = connection_form(g, SU2, omega - t * direction, arg)
+        plus = connection_form(GreenOperator(g, SU2, omega + t * direction), arg)
+        minus = connection_form(GreenOperator(g, SU2, omega - t * direction), arg)
         return (plus - minus) / (2 * t)
 
-    fa = universal_curvature_FA(g, SU2, omega, xi, eta, gop)
+    fa = universal_curvature_FA(gop, xi, eta)
     err = np.max(np.abs(fa - 0.5 * (D(xi, eta) - D(eta, xi))))
     assert err <= 1e-8 * np.max(np.abs(fa))
 
@@ -414,17 +412,16 @@ def test_full_curvature_antisymmetric():
     rng = np.random.default_rng(9)
     omega = rng.standard_normal((g.n_edges, 3))
     gop = GreenOperator(g, SU2, omega)
-    h1 = horizontal_project(g, SU2, omega, rng.standard_normal((g.n_edges, 3)), gop)
-    h2 = horizontal_project(g, SU2, omega, rng.standard_normal((g.n_edges, 3)), gop)
+    h1 = horizontal_project(gop, rng.standard_normal((g.n_edges, 3)))
+    h2 = horizontal_project(gop, rng.standard_normal((g.n_edges, 3)))
     from caloron.lattice import group_exp, su2_from_coords
-    q = FiberPoint(vertex=2, element=group_exp(SU2, su2_from_coords(
-        np.array([0.3, 0.1, -0.2]))))
-    V1 = (h1, FiberTangent(edge=0, magnitude=0.7))
-    V2 = (h2, FiberTangent(edge=g.plaquettes[0][3], magnitude=-1.3))
-    f12 = universal_curvature_FA(g, SU2, omega, h1, h2, gop)
-    f21 = universal_curvature_FA(g, SU2, omega, h2, h1, gop)
-    a = uni._curvature_full(g, SU2, omega, q, f12, V1, V2)
-    b = uni._curvature_full(g, SU2, omega, q, f21, V2, V1)
+    element = group_exp(SU2, su2_from_coords(np.array([0.3, 0.1, -0.2])))
+    # an x-edge and a y-edge of one face, so the plaquette term is nonzero
+    z1, z2 = (0, 0.7), (g.plaquettes[0][3], -1.3)
+    f12 = universal_curvature_FA(gop, h1, h2)
+    f21 = universal_curvature_FA(gop, h2, h1)
+    a = uni._curvature_full(gop, 2, element, f12, h1, z1, h2, z2)
+    b = uni._curvature_full(gop, 2, element, f21, h2, z2, h1, z1)
     assert np.max(np.abs(a + b)) < 1e-10
 
 

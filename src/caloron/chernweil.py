@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import pi
 
 import numpy as np
@@ -22,9 +21,9 @@ from .lattice import (
     U1,
     FormField,
     Grid,
+    _ordered_splits,
     ext_deriv,
     form_components,
-    shuffle_sign,
     trace2,
     value_shape,
 )
@@ -118,26 +117,6 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
         if acc is not None:
             out[key] = acc * f.normalization
     return FormField(grid, SCALAR, total_degree, out)
-
-
-@lru_cache(maxsize=None)
-def _ordered_splits(key: tuple, degrees: tuple) -> tuple:
-    """All ways to split the sorted index tuple `key` into ordered blocks of the
-    given sizes, with the Koszul sign of the unshuffle.  Cached, since every
-    slab asks again for the same keys; a tuple, so no caller can alter it."""
-    results = []
-
-    def rec(remaining: tuple, i: int, blocks: tuple, sign: int):
-        if i == len(degrees):
-            results.append((blocks, sign))
-            return
-        for I in combinations(remaining, degrees[i]):
-            rest = tuple(x for x in remaining if x not in I)
-            s = shuffle_sign(I, rest)
-            rec(rest, i + 1, blocks + (I,), sign * s)
-
-    rec(key, 0, (), 1)
-    return tuple(results)
 
 
 def chern_weil_form(f: InvariantPolynomial, F: FormField) -> FormField:

@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, product
-from math import inf, pi
+from math import inf, pi, prod
 
 import numpy as np
 
@@ -82,10 +82,7 @@ class Grid:
 
     def volume(self, axes=None) -> float:
         axes = range(self.dim) if axes is None else axes
-        out = 1.0
-        for a in axes:
-            out *= self.lengths[a]
-        return out
+        return prod((self.lengths[a] for a in axes), start=1.0)
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Coordinate array of grid points along one axis, broadcast over the grid."""
@@ -225,6 +222,21 @@ def form_components(dim: int, degree: int) -> list:
     return [tuple(c) for c in combinations(range(dim), degree)]
 
 
+def point_array(grid: Grid, group: str, value, what: str) -> np.ndarray:
+    """`value` as a complex array of one `group` value per point of `grid`;
+    a ShapeError naming `what` when its shape is any other."""
+    arr = np.asarray(value, dtype=complex)
+    shape = grid.sizes + value_shape(group)
+    if arr.shape != shape:
+        raise ShapeError(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def zero_array(grid: Grid, group: str) -> np.ndarray:
+    """A read-only zero of one `group` value per point of `grid`."""
+    return np.broadcast_to(np.zeros((), dtype=complex), grid.sizes + value_shape(group))
+
+
 @dataclass
 class FormField:
     """Algebra- or scalar-valued p-form sampled on a periodic grid.
@@ -243,19 +255,14 @@ class FormField:
     def __post_init__(self):
         if not 0 <= self.degree:
             raise DegreeError(f"degree {self.degree} negative")
-        shape = self.grid.sizes + value_shape(self.group)
         valid = _component_keys(self.grid.dim, self.degree)
-        comps = {}
-        for key, arr in self.comps.items():
+        for key in self.comps:
             if key not in valid:
                 raise ShapeError(f"component key {key!r} is not a strictly increasing "
                                  f"tuple of {self.degree} axes of a "
                                  f"{self.grid.dim}-dimensional grid")
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != shape:
-                raise ShapeError(f"component {key} has shape {arr.shape}, expected {shape}")
-            comps[key] = arr
-        self.comps = comps
+        self.comps = {key: point_array(self.grid, self.group, arr, f"component {key}")
+                      for key, arr in self.comps.items()}
 
     @classmethod
     def zero(cls, grid: Grid, group: str, degree: int) -> "FormField":
@@ -264,10 +271,7 @@ class FormField:
     def component(self, key: tuple) -> np.ndarray:
         """The component `key`, or a read-only zero array when it is missing."""
         arr = self.comps.get(key)
-        if arr is None:
-            arr = np.broadcast_to(np.zeros((), dtype=complex),
-                                  self.grid.sizes + value_shape(self.group))
-        return arr
+        return zero_array(self.grid, self.group) if arr is None else arr
 
     def copy(self) -> "FormField":
         return FormField(self.grid, self.group, self.degree,
@@ -386,6 +390,25 @@ def shuffle_sign(I: tuple, J: tuple) -> int:
     return -1 if inversions % 2 else 1
 
 
+@lru_cache(maxsize=None)
+def _ordered_splits(key: tuple, degrees: tuple) -> tuple:
+    """All ways to split the sorted index tuple `key` into ordered blocks of the
+    given sizes, with the Koszul sign of the unshuffle.  Cached, since every
+    slab asks again for the same keys; a tuple, so no caller can alter it."""
+    results = []
+
+    def rec(remaining: tuple, i: int, blocks: tuple, sign: int):
+        if i == len(degrees):
+            results.append((blocks, sign))
+            return
+        for I in combinations(remaining, degrees[i]):
+            rest = tuple(x for x in remaining if x not in I)
+            rec(rest, i + 1, blocks + (I,), sign * shuffle_sign(I, rest))
+
+    rec(key, 0, (), 1)
+    return tuple(results)
+
+
 def wedge(a: FormField, b: FormField, mul=None) -> FormField:
     """Componentwise wedge with pointwise value multiplication `mul` (default: product
     for scalar/U(1) values, matrix product for SU(2)); terms with a missing factor
@@ -399,12 +422,11 @@ def wedge(a: FormField, b: FormField, mul=None) -> FormField:
     out = {}
     for key in form_components(a.grid.dim, deg):
         acc = None
-        for I in combinations(key, a.degree):
-            J = tuple(x for x in key if x not in I)
+        for (I, J), sign in _ordered_splits(key, (a.degree, b.degree)):
             x, y = a.comps.get(I), b.comps.get(J)
             if x is None or y is None:
                 continue
-            term = shuffle_sign(I, J) * mul(x, y)
+            term = sign * mul(x, y)
             acc = term if acc is None else acc + term
         if acc is not None:
             out[key] = acc
@@ -443,35 +465,26 @@ def integrate(f: FormField, axes=None):
 
 @dataclass
 class LinkField:
-    """Group-valued field on oriented edges site -> site + e_axis."""
+    """Group-valued field on oriented edges site -> site + e_axis; `links`
+    holds one array for each axis of the grid."""
 
     grid: Grid
     group: str
-    links: dict = field(default_factory=dict)
+    links: dict
 
     def __post_init__(self):
-        shape = self.grid.sizes + value_shape(self.group)
-        full = {}
-        ident = np.ones(shape, dtype=complex) if self.group == U1 else \
-            np.broadcast_to(EYE2, shape).copy()
-        for a in range(self.grid.dim):
-            arr = self.links.get(a)
-            if arr is None:
-                arr = ident.copy()
-            else:
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != shape:
-                    raise ShapeError(f"link array for axis {a} has shape {arr.shape}, "
-                                     f"expected {shape}")
-            full[a] = arr
-        self.links = full
+        axes = range(self.grid.dim)
+        if set(self.links) != set(axes):
+            raise ShapeError(f"link axes {list(self.links)} are not the grid's axes "
+                             f"{list(axes)}")
+        self.links = {a: point_array(self.grid, self.group, self.links[a],
+                                     f"link array for axis {a}") for a in axes}
 
     @classmethod
     def identity(cls, grid: Grid, group: str) -> "LinkField":
-        return cls(grid, group, {})
-
-    def copy(self) -> "LinkField":
-        return LinkField(self.grid, self.group, {a: u.copy() for a, u in self.links.items()})
+        one = np.ones((), dtype=complex) if group == U1 else EYE2
+        shape = grid.sizes + value_shape(group)
+        return cls(grid, group, {a: np.broadcast_to(one, shape) for a in range(grid.dim)})
 
 
 def plaquette_holonomy(u: LinkField, ax: int, ay: int) -> np.ndarray:
@@ -496,10 +509,9 @@ def plaquette_curvature(u: LinkField) -> FormField:
 
 def total_flux(u: LinkField, ax: int = 0, ay: int = 1) -> complex:
     """Sum of principal plaquette logs; 2*pi*i*(integer) on a closed surface."""
-    P = plaquette_holonomy(u, ax, ay)
-    axes = tuple(range(P.ndim)) if u.group == U1 else tuple(range(P.ndim - 2))
-    return complex(np.sum(group_log(u.group, P), axis=axes) if u.group == U1
-                   else trace2(np.sum(group_log(u.group, P), axis=axes)) / 2.0)
+    total = np.sum(group_log(u.group, plaquette_holonomy(u, ax, ay)),
+                   axis=tuple(range(u.grid.dim)))
+    return complex(total if u.group == U1 else trace2(total) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +522,7 @@ def gauge_transform_form(f: FormField, g: np.ndarray) -> FormField:
     """Pointwise conjugation of an algebra-valued form by a group-valued 0-form."""
     if f.group == U1:
         return f.copy()
-    if g.shape != f.grid.sizes + (2, 2):
-        raise ShapeError("gauge field shape mismatch")
+    g = point_array(f.grid, f.group, g, "gauge field")
     ginv = group_inverse(f.group, g)
     return FormField(f.grid, f.group, f.degree,
                      {k: g @ v @ ginv for k, v in f.comps.items()})
@@ -635,29 +646,30 @@ def constant_curvature_torus(grid: Grid, c: int) -> LinkField:
     return LinkField(grid, U1, {0: Ux, 1: Uy})
 
 
+def twist_plane(grid: Grid, group: str) -> tuple:
+    """The axes (a, b) of the plane a twist's constant background lives on:
+    the last two.  Twists are U(1) only."""
+    if group != U1:
+        raise ConfigError("twists are supported for U(1) only")
+    if grid.dim < 2:
+        raise ConfigError("twist needs at least two axes")
+    return grid.dim - 2, grid.dim - 1
+
+
 def links_from_connection(A: FormField, twist: int = 0) -> LinkField:
     """Midpoint-exponential links exp(h_a A_a(s)), optionally times a U(1) twist
-    background on the last two axes."""
+    background on twist_plane's axes."""
     if A.degree != 1:
         raise DegreeError("links_from_connection needs a 1-form")
     h = A.grid.spacings
-    links = {}
-    for a in range(A.grid.dim):
-        links[a] = group_exp(A.group, h[a] * A.component((a,)))
-    u = LinkField(A.grid, A.group, links)
+    links = {a: group_exp(A.group, h[a] * A.component((a,))) for a in range(A.grid.dim)}
     if twist:
-        if A.group != U1:
-            raise ConfigError("twists are supported for U(1) only")
-        if A.grid.dim < 2:
-            raise ConfigError("twist needs at least two axes")
-        ax, ay = A.grid.dim - 2, A.grid.dim - 1
+        ax, ay = twist_plane(A.grid, A.group)
         bg = constant_curvature_torus(
             Grid(sizes=(A.grid.sizes[ax], A.grid.sizes[ay]),
                  lengths=(A.grid.lengths[ax], A.grid.lengths[ay])),
             twist)
-        shape = [1] * A.grid.dim
-        shape[ax] = A.grid.sizes[ax]
-        shape[ay] = A.grid.sizes[ay]
-        u.links[ax] = u.links[ax] * bg.links[0].reshape(shape)
-        u.links[ay] = u.links[ay] * bg.links[1].reshape(shape)
-    return u
+        shape = tuple(n if a in (ax, ay) else 1 for a, n in enumerate(A.grid.sizes))
+        links[ax] = links[ax] * bg.links[0].reshape(shape)
+        links[ay] = links[ay] * bg.links[1].reshape(shape)
+    return LinkField(A.grid, A.group, links)

@@ -100,8 +100,13 @@ class SceneConfig:
             raise ConfigError(f"twist must be at most 2**53 in magnitude, got {raw['twist']!r}")
         self.poly_kind = raw.get("poly.kind", "chern_normalized")
         self.classes = _int_list(raw.get("classes", "0"))
+        if not self.classes:
+            raise ConfigError("classes must list at least one class degree")
         d = len(self.grid.fiber_axes)
         for r in self.classes:
+            if not 0 <= r <= len(base_sizes):
+                raise ConfigError(f"classes: degree r={r} outside 0..{len(base_sizes)}, "
+                                  "the number of base axes")
             if (r + d) % 2 != 0:
                 raise ConfigError(f"class degree r={r} and fiber dimension d={d} "
                                   "must have the same parity")

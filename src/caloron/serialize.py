@@ -113,6 +113,21 @@ def _axes_from_doc(data: dict, group: str) -> dict:
     return out
 
 
+# the keys each decoder reads; any other key is a ConfigError, since a
+# misspelt one ("twsit") would leave its default silently in force
+GRID_KEYS = ("dim", "sizes", "lengths", "base_axes")
+CONNECTION_KEYS = ("kind", "grid", "group", "twist", "components")
+PAIR_KEYS = ("kind", "grid", "group", "twist", "A", "Phi")
+
+
+def _known_keys(doc: dict, keys: tuple, what: str) -> dict:
+    """doc, once every key of it is one of `keys`."""
+    for key in doc.keys():
+        if key not in keys:
+            raise ConfigError(f"unknown {what} key {key!r}; known keys: " + ", ".join(keys))
+    return doc
+
+
 def grid_to_doc(grid: Grid) -> dict:
     return {
         "dim": grid.dim,
@@ -124,9 +139,13 @@ def grid_to_doc(grid: Grid) -> dict:
 
 @_decoder
 def grid_from_doc(doc: dict) -> Grid:
-    return Grid(sizes=tuple(_integer(n, "grid size") for n in doc["sizes"]),
+    _known_keys(doc, GRID_KEYS, "grid")
+    grid = Grid(sizes=tuple(_integer(n, "grid size") for n in doc["sizes"]),
                 lengths=tuple(_number(x, "grid length") for x in doc["lengths"]),
                 base_axes=tuple(_integer(a, "base axis") for a in doc.get("base_axes", ())))
+    if _integer(doc.get("dim", grid.dim), "grid dim") != grid.dim:
+        raise ConfigError(f"grid dim {doc['dim']} is not {grid.dim}, the number of sizes")
+    return grid
 
 
 def connection_to_doc(w: ProductConnection) -> dict:
@@ -141,7 +160,7 @@ def connection_to_doc(w: ProductConnection) -> dict:
 
 @_decoder
 def connection_from_doc(doc: dict) -> ProductConnection:
-    grid = grid_from_doc(doc["grid"])
+    grid = grid_from_doc(_known_keys(doc, CONNECTION_KEYS, "connection document")["grid"])
     group = doc["group"]
     return ProductConnection(grid, group, _axes_from_doc(doc["components"], group),
                              twist=_integer(doc.get("twist", 0), "twist"))
@@ -160,7 +179,7 @@ def pair_to_doc(a: GaugeGroupConnection, phi: HiggsFieldMap) -> dict:
 
 @_decoder
 def pair_from_doc(doc: dict):
-    grid = grid_from_doc(doc["grid"])
+    grid = grid_from_doc(_known_keys(doc, PAIR_KEYS, "pair document")["grid"])
     group = doc["group"]
     a = GaugeGroupConnection(grid, group, _axes_from_doc(doc["A"], group))
     phi = HiggsFieldMap(grid, group, _axes_from_doc(doc["Phi"], group),

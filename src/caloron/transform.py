@@ -24,7 +24,10 @@ from .lattice import (
     LinkField,
     central_difference,
     group_inverse,
+    point_array,
+    twist_plane,
     value_shape,
+    zero_array,
 )
 
 
@@ -59,18 +62,10 @@ class ProductConnection:
         if stray:
             raise ShapeError(f"component keys {stray} name no axis of this block; "
                              f"its axes are {list(axes)}")
-        shape = self.grid.sizes + value_shape(self.group)
-        comps = {}
-        for a, arr in self.comps.items():
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != shape:
-                raise ShapeError(f"component {a} shape {arr.shape}, expected {shape}")
-            comps[a] = arr
-        self.comps = comps
-        if self.twist and self.group != U1:
-            raise ConfigError("twists are supported for U(1) only")
+        self.comps = {a: point_array(self.grid, self.group, arr, f"component {a}")
+                      for a, arr in self.comps.items()}
         # the twist plane ends on the last axis, always a fiber axis
-        if self.twist and self.grid.dim - 1 not in axes:
+        if self.twist and twist_plane(self.grid, self.group)[1] not in axes:
             raise ConfigError("the twist rides on the Higgs field, not on the base block")
 
     @classmethod
@@ -86,10 +81,7 @@ class ProductConnection:
     def component(self, axis: int) -> np.ndarray:
         """The component on `axis`, or a read-only zero array when it is missing."""
         arr = self.comps.get(axis)
-        if arr is None:
-            arr = np.broadcast_to(np.zeros((), dtype=complex),
-                                  self.grid.sizes + value_shape(self.group))
-        return arr
+        return zero_array(self.grid, self.group) if arr is None else arr
 
     def one_form(self) -> FormField:
         return FormField(self.grid, self.group, 1,
@@ -156,31 +148,24 @@ def link_forward(u: LinkField) -> tuple:
 
 
 def link_inverse(base: dict, fiber: dict, grid: Grid, group: str) -> LinkField:
+    """The links of the base and fiber blocks, which must cover the grid's axes."""
     _check_product(grid)
-    links = {}
-    links.update(base)
-    links.update(fiber)
-    if set(links) != set(range(grid.dim)):
-        raise ShapeError("link blocks do not cover the grid axes")
-    return LinkField(grid, group, links)
+    return LinkField(grid, group, {**base, **fiber})
 
 
 def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
     """Constant curvature 2-form carried by the twist metadata.
 
-    Lives on the last two axes (both fiber when dim X = 2; mixed when dim X = 1),
-    with the sign fixed so the Chern-normalized pairing is +twist.
+    Lives on twist_plane's axes (both fiber when dim X = 2; mixed when
+    dim X = 1), with the sign fixed so the Chern-normalized pairing is
+    +twist.  The constant is stored once, as a read-only broadcast array.
     """
     if twist == 0:
         return FormField.zero(grid, group, 2)
-    if group != U1:
-        raise ConfigError("twists are supported for U(1) only")
-    if grid.dim < 2:
-        raise ConfigError("twist needs at least two axes")
-    ax, ay = grid.dim - 2, grid.dim - 1
+    ax, ay = twist_plane(grid, group)
     area = grid.lengths[ax] * grid.lengths[ay]
-    return FormField(grid, group, 2, {
-        (ax, ay): np.full(grid.sizes, -1j * TWO_PI * twist / area, dtype=complex)})
+    value = np.asarray(-1j * TWO_PI * twist / area, dtype=complex)
+    return FormField(grid, group, 2, {(ax, ay): np.broadcast_to(value, grid.sizes)})
 
 
 def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> CurvatureTriple:
@@ -212,11 +197,9 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
     )
 
 
-def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap,
-              rows: slice = slice(None)) -> FormField:
+def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
     """Mixed curvature from the definition sum: base derivative of Phi, bracket
-    [A, Phi], fiber derivative of A, plus the twist background's mixed part,
-    on the points `rows` of axis 0 (all of them by default).
+    [A, Phi], fiber derivative of A, plus the twist background's mixed part.
 
     It is the independent check on curvature_split's mixed block, which the
     class routines use; the two agree bit for bit.
@@ -228,16 +211,14 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap,
     out = {}
     for mu in grid.base_axes:
         for nu in grid.fiber_axes:
-            val = central_difference(phi.component(nu), mu, h[mu], rows)
-            np.subtract(val, central_difference(a.component(mu), nu, h[nu], rows), out=val)
+            val = central_difference(phi.component(nu), mu, h[mu])
+            np.subtract(val, central_difference(a.component(mu), nu, h[nu]), out=val)
             if group != U1:
-                Am, Pn = a.component(mu)[rows], phi.component(nu)[rows]
+                Am, Pn = a.component(mu), phi.component(nu)
                 val = val + (Am @ Pn - Pn @ Am)
             out[(mu, nu)] = val
-    slab = grid.slab(rows)
-    field_ = FormField(slab, group, 2, out)
-    bg = background_curvature(slab, group, phi.twist).bidegree_part(1, 1)
-    return field_ + bg
+    bg = background_curvature(grid, group, phi.twist).bidegree_part(1, 1)
+    return FormField(grid, group, 2, out) + bg
 
 
 def higgs_gauge_action(phi: HiggsFieldMap, psi: np.ndarray) -> HiggsFieldMap:

@@ -609,7 +609,9 @@ def test_library_calls_no_np_trace(monkeypatch):
 
 
 def test_ordered_splits_are_cached_tuples():
-    """The splits of a key are computed once and handed out as one tuple."""
+    """The splits of a key are computed once and handed out as one tuple, by
+    the one enumerator that wedge uses too."""
+    assert chernweil._ordered_splits is lat._ordered_splits
     splits = chernweil._ordered_splits((0, 1, 2, 3), (2, 2))
     assert isinstance(splits, tuple)
     assert chernweil._ordered_splits((0, 1, 2, 3), (2, 2)) is splits

@@ -199,6 +199,27 @@ def test_formats_scene_block_matches_code():
     SceneConfig(parse_config_text("\n".join(f"{k} = {v}" for k, v in lines)))
 
 
+@pytest.mark.parametrize("scene", [
+    "base.sizes = 4\nfiber.sizes = 8,8\nclasses =\nexpect.pairing = 5\n",
+    "base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\nclasses = 3\n",
+    "base.sizes = 4,4\nfiber.sizes = 8,8\nfamily = u1_harmonic\nclasses = 0,4\n",
+    "base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\nclasses = -1\n",
+], ids=["empty", "above-one-base-axis", "above-two-base-axes", "negative"])
+def test_classes_out_of_range_exit_code(tmp_path, capsys, monkeypatch, scene):
+    """An empty classes list would check nothing and pass, and a degree above
+    the base dimension would be found only after sampling: each exits 2,
+    naming classes, before anything is sampled."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the scene was validated")
+
+    monkeypatch.setattr("caloron.scene.sample", no_sampling)
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(scene)
+    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "classes" in err and "Traceback" not in err
+
+
 def test_classes_unknown_poly_kind_exit_code(tmp_path, capsys):
     """A poly.kind outside chernweil.KINDS exits 2, naming the kinds there are."""
     cfg = tmp_path / "scene.cfg"
@@ -878,6 +899,59 @@ def test_transform_stray_component_key_exit_code(tmp_path, capsys, block, key,
     want = "no axis" if canonical else "must be written"
     assert want in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kind,path,key,direction", [
+    ("product_connection", (), "twsit", "forward"),
+    ("product_connection", (), "Twist", "roundtrip"),
+    ("product_connection", ("grid",), "base_axis", "forward"),
+    ("transform_pair", (), "phi", "inverse"),
+    ("transform_pair", (), "components", "roundtrip"),
+    ("transform_pair", ("grid",), "dims", "inverse"),
+])
+def test_transform_unknown_document_key_exit_code(tmp_path, capsys, kind, path, key,
+                                                  direction):
+    """A key no decoder reads is rejected and named: a misspelt "twsit"
+    would otherwise be dropped and the twist written as 0."""
+    doc = _zero_connection_doc()
+    if kind == "transform_pair":
+        doc = serialize.pair_to_doc(*forward_transform(serialize.connection_from_doc(doc)))
+    target = doc
+    for part in path:
+        target = target[part]
+    target[key] = 3
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src), "--direction", direction,
+                 "--output", str(tmp_path / "out.json")]) == EXIT_VALIDATION
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("dim", [7, 2, 0])
+def test_transform_grid_dim_mismatch_exit_code(tmp_path, capsys, dim):
+    doc = _zero_connection_doc()
+    doc["grid"]["dim"] = dim
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src), "--direction", "forward"]) == \
+        EXIT_VALIDATION
+    assert "grid dim" in capsys.readouterr().err
+
+
+def _formats_json_keys(section: str) -> set:
+    """The keys of the JSON example under `section` in docs/formats.md, one
+    per line (the first on each)."""
+    text = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+    block = text.split(f"## {section}\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return set(re.findall(r'^\s*"(\w+)":', block, flags=re.M))
+
+
+def test_formats_document_keys_match_decoders():
+    """docs/formats.md shows exactly the keys the decoders accept."""
+    assert _formats_json_keys("Grid") == set(serialize.GRID_KEYS)
+    assert _formats_json_keys("Product connection document") == set(serialize.CONNECTION_KEYS)
+    assert _formats_json_keys("Transform pair document") == set(serialize.PAIR_KEYS)
 
 
 def test_transform_pair_with_empty_a(tmp_path, capsys):

@@ -281,6 +281,25 @@ def test_plaquette_identity_links():
     assert lat.plaquette_curvature(u).max_norm() == 0.0
 
 
+@pytest.mark.parametrize("axes", [(0, 1, 7), (7,), (0,), ()])
+def test_link_field_needs_exactly_the_grid_axes(axes):
+    """A stray axis is not dropped and a missing one is not filled in."""
+    g = _grid2(4)
+    with pytest.raises(ShapeError, match="not the grid's axes"):
+        LinkField(g, U1, {a: np.ones(g.sizes, dtype=complex) for a in axes})
+
+
+@pytest.mark.parametrize("group", [U1, SU2])
+def test_link_field_identity_is_read_only_broadcast(group):
+    g = _grid2(4)
+    u = LinkField.identity(g, group)
+    one = np.ones((), dtype=complex) if group == U1 else np.eye(2, dtype=complex)
+    for a in range(g.dim):
+        arr = u.links[a]
+        assert arr.shape == g.sizes + lat.value_shape(group)
+        assert not arr.flags.writeable and np.array_equal(arr, np.broadcast_to(one, arr.shape))
+
+
 def test_plaquette_constant_curvature_oracle():
     # [DERIVED] twist-c configuration has exactly constant curvature
     g = Grid(sizes=(16, 16))

@@ -118,6 +118,45 @@ def test_pair_mismatch_rejected():
         inverse_transform(a, phi)
 
 
+_TWIST_CALLERS = {
+    "ProductConnection": lambda grid, group, twist: ProductConnection.zero(grid, group, twist),
+    "background_curvature": background_curvature,
+    "links_from_connection": lambda grid, group, twist: lat.links_from_connection(
+        FormField.zero(grid, group, 1), twist),
+}
+
+
+@pytest.mark.parametrize("caller", list(_TWIST_CALLERS))
+def test_twist_rule_is_twist_plane_in_every_caller(caller):
+    """Each caller takes its twist rule from lattice.twist_plane: U(1) only,
+    on the plane of the last two axes."""
+    make = _TWIST_CALLERS[caller]
+    grid = Grid(sizes=(4, 6, 8), base_axes=(0,))
+    with pytest.raises(ConfigError, match=r"twists are supported for U\(1\) only"):
+        make(grid, SU2, 1)
+    ax, ay = lat.twist_plane(grid, U1)
+    assert (ax, ay) == (1, 2)
+    out = make(grid, U1, 3)
+    if caller == "background_curvature":
+        assert set(out.comps) == {(ax, ay)}
+    elif caller == "links_from_connection":
+        assert lat.total_flux(out, ax, ay) == pytest.approx(-2j * np.pi * 3 * 4, abs=1e-9)
+        assert abs(lat.total_flux(out, 0, ax)) < 1e-12
+    else:
+        assert out.twist == 3
+    if caller != "ProductConnection":  # a product grid has two axes or more
+        with pytest.raises(ConfigError, match="at least two axes"):
+            make(Grid(sizes=(4,)), U1, 1)
+
+
+def test_background_curvature_is_one_read_only_constant():
+    grid = Grid(sizes=(4, 6, 8), base_axes=(0,))
+    arr = background_curvature(grid, U1, 2).comps[(1, 2)]
+    assert arr.shape == grid.sizes and not arr.flags.writeable
+    assert arr.strides == (0, 0, 0)
+    assert arr[0, 0, 0] == -1j * lat.TWO_PI * 2 / (lat.TWO_PI * lat.TWO_PI)
+
+
 def test_background_curvature_pairing_sign():
     # the twist block integrates to -2*pi*i*c, so (i/2pi) * integral = +c
     grid = Grid(sizes=(4, 12, 12), base_axes=(0,))
@@ -258,10 +297,15 @@ def _assert_same_bits(x: FormField, y: FormField):
 @pytest.mark.parametrize("slabs", list(_SLABS))
 @pytest.mark.parametrize("group,twist", _MERGED_CASES)
 def test_nabla_phi_equals_curvature_split_mixed_block(group, twist, slabs):
+    """Each slab's mixed block is, byte for byte, its rows of the whole-grid
+    definition sum."""
     w = _merged_connection(group, twist)
-    a, phi = forward_transform(w)
+    whole = nabla_phi(*forward_transform(w))
     for rows in _SLABS[slabs]:
-        _assert_same_bits(nabla_phi(a, phi, rows), curvature_split(w, rows).NablaPhi)
+        mixed = curvature_split(w, rows).NablaPhi
+        rows_of_whole = FormField(mixed.grid, group, 2,
+                                  {k: v[rows] for k, v in whole.comps.items()})
+        _assert_same_bits(rows_of_whole, mixed)
 
 
 @pytest.mark.parametrize("slabs", list(_SLABS))

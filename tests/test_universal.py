@@ -452,17 +452,25 @@ def test_property_suite_green_torus_64_64():
 def test_property_suite_green_solve_count(monkeypatch, group, want):
     """One solve per distinct Green field: green_inverse, vertical_reproduction,
     the projections of xi, ph and eta, and for su(2) F_A(h1, h2) and
-    F_A(h2, h1), which the full-curvature checks reuse."""
-    calls = []
-    solve = GreenOperator.solve
+    F_A(h2, h1), which the full-curvature checks reuse.  Outside the solves,
+    each field's d* is taken once: F_A(h2, h1) does not check again the
+    fields that F_A(h1, h2) checked."""
+    calls = {"solve": 0, "adjoint": 0}
+    solve, adjoint = GreenOperator.solve, uni.adjoint_cov_deriv
 
     def counted(self, v):
-        calls.append(1)
+        calls["solve"] += 1
         return solve(self, v)
 
+    def counted_adjoint(*args):
+        calls["adjoint"] += 1
+        return adjoint(*args)
+
     monkeypatch.setattr(GreenOperator, "solve", counted)
+    monkeypatch.setattr(uni, "adjoint_cov_deriv", counted_adjoint)
     run_property_suite(parse_graph("torus:4:4"), group, seed=3)
-    assert len(calls) == want
+    # each solve checks its residual with one adjoint_cov_deriv
+    assert (calls["solve"], calls["adjoint"] - calls["solve"]) == (want, 9)
 
 
 def test_property_suite_deterministic():

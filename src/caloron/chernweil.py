@@ -18,12 +18,12 @@ from .errors import ArityError, DegreeError, DomainError, ParityError, ShapeErro
 from .lattice import (
     SCALAR,
     SU2,
-    U1,
     FormField,
     Grid,
     _ordered_splits,
     ext_deriv,
     form_components,
+    group_mul,
     trace2,
     value_shape,
 )
@@ -57,17 +57,6 @@ class InvariantPolynomial:
         return 1.0
 
 
-def _dedupe_by_keys(keys: tuple):
-    seen = set()
-    out = []
-    for p in permutations(range(len(keys))):
-        label = tuple(keys[i] for i in p)
-        if label not in seen:
-            seen.add(label)
-            out.append(p)
-    return out
-
-
 def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None) -> FormField:
     """Symmetrized evaluation of f on k algebra-valued forms, wedged on indices.
 
@@ -91,10 +80,15 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     if total_degree > grid.dim:
         return FormField.zero(grid, SCALAR, total_degree)
 
-    abelian = group in (U1, SCALAR)
-    # identify repeated argument objects so the symmetrization collapses
-    ids = tuple(id(a) for a in args)
-    orderings = [tuple(range(k))] if abelian else _dedupe_by_keys(ids)
+    orderings = [tuple(range(k))]
+    if group == SU2:
+        # identify repeated argument objects so the symmetrization collapses:
+        # the first permutation of each distinct sequence of arguments
+        ids = tuple(id(a) for a in args)
+        firsts = {}
+        for p in permutations(range(k)):
+            firsts.setdefault(tuple(ids[i] for i in p), p)
+        orderings = list(firsts.values())
     weight = 1.0 / len(orderings)
 
     out = {}
@@ -108,12 +102,10 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
                 vals = [args[idx].comps.get(I) for idx, I in zip(order, blocks)]
                 if any(v is None for v in vals):
                     continue
-                prod = vals[0]
-                for val in vals[1:]:
-                    prod = prod * val if abelian else prod @ val
-                term = prod if abelian else trace2(prod)
-                term = (sign * weight) * term
-                acc = term if acc is None else acc + term
+                term = group_mul(group, *vals)
+                term = (sign * weight) * (trace2(term) if group == SU2 else term)
+                # in place: term is always a new array, and no sum is allocated
+                acc = term if acc is None else np.add(acc, term, out=acc)
         if acc is not None:
             out[key] = acc * f.normalization
     return FormField(grid, SCALAR, total_degree, out)
@@ -249,6 +241,18 @@ def pair_with_cycle(w: FormField, axes: tuple, basepoint: dict | None = None) ->
     return complex(np.mean(arr) * w.grid.volume(key))
 
 
+def class_degree(r: int, d: int) -> int:
+    """k = (r + d) / 2, the degree of the invariant polynomial whose caloron
+    class on a d-dimensional fiber is an r-form on the base."""
+    if (r + d) % 2 != 0:
+        raise ParityError(f"class degree r={r} and fiber dimension d={d} "
+                          "must have the same parity")
+    k = (d + r) // 2
+    if k < 1:
+        raise DegreeError(f"(r={r}, d={d}) gives polynomial degree k={k} < 1")
+    return k
+
+
 @dataclass
 class CaloronClassReport:
     r: int
@@ -281,14 +285,8 @@ def caloron_class(data: ProductConnection, f: InvariantPolynomial, r: int,
     computation.
     """
     w = _connection(data)
-    grid = w.grid
-    d = len(grid.fiber_axes)
-    if (r + d) % 2 != 0:
-        raise ParityError(f"class degree r={r} and fiber dimension d={d} "
-                          "must have the same parity")
-    k = (d + r) // 2
-    if k < 1:
-        raise DegreeError(f"(r={r}, d={d}) gives polynomial degree k={k} < 1")
+    d = len(w.grid.fiber_axes)
+    k = class_degree(r, d)
     if f.degree != k:
         raise ArityError(f"polynomial degree {f.degree} != required k={k}")
 

@@ -11,11 +11,12 @@ import sys
 import time
 
 from . import serialize, symbolic
-from .chernweil import InvariantPolynomial, caloron_class
+from .chernweil import InvariantPolynomial, caloron_class, class_degree
 from .errors import CaloronError, ConfigError, SingularOperatorError
-from .lattice import SU2, U1, Grid, sample
+from .lattice import FAMILY_GROUP, GROUPS, U1, Grid, sample
 from .scene import Check, SceneConfig, load_config, report_hash
-from .transform import ProductConnection, forward_transform, inverse_transform
+from .transform import (ProductConnection, check_connection, forward_transform,
+                        inverse_transform)
 from .universal import parse_graph, run_property_suite
 
 EXIT_OK = 0
@@ -130,9 +131,7 @@ def _classes_for_scene(cfg: SceneConfig, grid=None) -> list:
     g = w.grid
     results = []
     for r in cfg.classes:
-        d = len(g.fiber_axes)
-        k = (d + r) // 2
-        f = InvariantPolynomial(k, cfg.poly_kind)
+        f = InvariantPolynomial(class_degree(r, len(g.fiber_axes)), cfg.poly_kind)
         if r == 0:
             cycles = [("point", (), {})]
         else:
@@ -145,7 +144,7 @@ def cmd_classes(args) -> int:
     start = time.time()
     cfg = SceneConfig(load_config(args.config))
     if args.refine:
-        cfg.check_size(cfg.grid.refine())
+        check_connection(cfg.grid.refine(), cfg.group, cfg.twist)
     reports = _classes_for_scene(cfg)
     checks, pairings = [], []
     for rep in reports:
@@ -198,7 +197,7 @@ def cmd_selftest(args) -> int:
 
     # transform round trip on seeded data
     grid = Grid(sizes=(8, 8), base_axes=(0,))
-    for group, fam in ((U1, "u1_harmonic"), (SU2, "su2_band_limited")):
+    for fam, group in FAMILY_GROUP.items():
         A = sample(fam, grid, group, {"max_mode": 2}, seed=args.seed)
         w = ProductConnection.from_one_form(A)
         checks.append(Check(f"roundtrip_{group}",
@@ -213,7 +212,7 @@ def cmd_selftest(args) -> int:
     checks.append(Check("twist_pairing", err, passed=err <= 1e-8))
 
     # universal suite on a ring
-    for group in (U1, SU2):
+    for group in GROUPS:
         results = run_property_suite(parse_graph("ring:8"), group, seed=args.seed)
         checks.append(Check(f"universal_{group}", max(c.residual for c in results),
                             passed=all(c.passed for c in results)))
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pu = sub.add_parser("universal", help="run the universal-connection property suite")
     pu.add_argument("--graph", default="ring:8")
-    pu.add_argument("--group", choices=(U1, SU2), default=U1)
+    pu.add_argument("--group", choices=GROUPS, default=U1)
     pu.add_argument("--seed", type=_seed, default=0)
     pu.add_argument("--report", default=None)
     pu.set_defaults(func=cmd_universal)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import inf, pi, prod
 
@@ -29,6 +29,7 @@ MAX_ANGLE = pi - 1e-6
 U1 = "u1"
 SU2 = "su2"
 SCALAR = "scalar"  # complex-number-valued forms (after applying an invariant polynomial)
+GROUPS = (U1, SU2)  # the structure groups a connection may have
 
 _VALUE_SHAPE = {U1: (), SU2: (2, 2), SCALAR: ()}
 
@@ -190,10 +191,16 @@ def group_inverse(group: str, U: np.ndarray) -> np.ndarray:
 
 
 def group_mul(group: str, *factors) -> np.ndarray:
+    """Pointwise product, left to right: matrix for SU(2), complex otherwise."""
     out = factors[0]
     for f in factors[1:]:
-        out = out * f if group == U1 else out @ f
+        out = out @ f if group == SU2 else out * f
     return out
+
+
+def conjugate(group: str, g: np.ndarray, x: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """g x g^{-1} pointwise, given g^{-1}; U(1) values commute, so x itself."""
+    return g @ x @ ginv if group == SU2 else x
 
 
 def alg_violation(group: str, X: np.ndarray) -> float:
@@ -272,10 +279,6 @@ class FormField:
         """The component `key`, or a read-only zero array when it is missing."""
         arr = self.comps.get(key)
         return zero_array(self.grid, self.group) if arr is None else arr
-
-    def copy(self) -> "FormField":
-        return FormField(self.grid, self.group, self.degree,
-                         {k: v.copy() for k, v in self.comps.items()})
 
     def __add__(self, other: "FormField") -> "FormField":
         _check_compatible(self, other)
@@ -410,15 +413,14 @@ def _ordered_splits(key: tuple, degrees: tuple) -> tuple:
 
 
 def wedge(a: FormField, b: FormField, mul=None) -> FormField:
-    """Componentwise wedge with pointwise value multiplication `mul` (default: product
-    for scalar/U(1) values, matrix product for SU(2)); terms with a missing factor
-    are skipped."""
+    """Componentwise wedge with pointwise value multiplication `mul` (default:
+    group_mul); terms with a missing factor are skipped."""
     _check_compatible(a, b)
     deg = a.degree + b.degree
     if deg > a.grid.dim:
         return FormField.zero(a.grid, a.group, deg)
     if mul is None:
-        mul = (lambda x, y: x * y) if a.group in (U1, SCALAR) else (lambda x, y: x @ y)
+        mul = partial(group_mul, a.group)
     out = {}
     for key in form_components(a.grid.dim, deg):
         acc = None
@@ -520,12 +522,10 @@ def total_flux(u: LinkField, ax: int = 0, ay: int = 1) -> complex:
 
 def gauge_transform_form(f: FormField, g: np.ndarray) -> FormField:
     """Pointwise conjugation of an algebra-valued form by a group-valued 0-form."""
-    if f.group == U1:
-        return f.copy()
     g = point_array(f.grid, f.group, g, "gauge field")
     ginv = group_inverse(f.group, g)
     return FormField(f.grid, f.group, f.degree,
-                     {k: g @ v @ ginv for k, v in f.comps.items()})
+                     {k: conjugate(f.group, g, v, ginv) for k, v in f.comps.items()})
 
 
 def gauge_transform_links(u: LinkField, g: np.ndarray) -> LinkField:
@@ -548,15 +548,9 @@ def gauge_transform_connection(A: FormField, g: np.ndarray) -> FormField:
     ginv = group_inverse(A.group, g)
     out = {}
     for a in range(A.grid.dim):
-        dginv = central_difference(ginv, a, h[a])
-        g_dginv = g * dginv if A.group == U1 else g @ dginv
+        g_dginv = group_mul(A.group, g, central_difference(ginv, a, h[a]))
         arr = A.comps.get((a,))
-        if arr is None:
-            out[(a,)] = g_dginv
-        elif A.group == U1:
-            out[(a,)] = arr + g_dginv
-        else:
-            out[(a,)] = g @ arr @ ginv + g_dginv
+        out[(a,)] = g_dginv if arr is None else conjugate(A.group, g, arr, ginv) + g_dginv
     return FormField(A.grid, A.group, 1, out)
 
 

@@ -7,18 +7,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import isfinite, prod
+from math import isfinite
 from typing import NamedTuple
 
-from .errors import ConfigError, SizeLimitError
-from .lattice import SU2, TWO_PI, U1, Grid, check_family, sample, value_shape
-from .transform import ProductConnection
+from .chernweil import class_degree
+from .errors import ConfigError
+from .lattice import TWO_PI, U1, Grid, check_family, sample
+from .transform import ProductConnection, check_connection
 
 DEFAULT_LENGTH = TWO_PI
-
-# bytes of a scene's sampled connection: one complex array per axis
-MAX_CONNECTION_BYTES = 2 ** 30
-
 
 # every key a scene config may set
 SCENE_KEYS = ("base.sizes", "fiber.sizes", "base.lengths", "fiber.lengths", "group",
@@ -84,9 +81,11 @@ class SceneConfig:
                          lengths=base_len + fiber_len,
                          base_axes=tuple(range(len(base_sizes))))
         self.group = raw.get("group", U1)
-        if self.group not in (U1, SU2):
-            raise ConfigError(f"unknown group {self.group!r}")
-        self.check_size(self.grid)
+        self.twist = _number(int, raw.get("twist", 0))
+        # past 2**53 a float64 cannot hold the integer a pairing should return
+        if abs(self.twist) > 2 ** 53:
+            raise ConfigError(f"twist must be at most 2**53 in magnitude, got {raw['twist']!r}")
+        check_connection(self.grid, self.group, self.twist)
         self.family = raw.get("family", "zero")
         if self.family != "zero":
             check_family(self.family, self.group)
@@ -94,22 +93,15 @@ class SceneConfig:
         self.seed = _number(int, raw.get("seed", 0))
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        self.twist = _number(int, raw.get("twist", 0))
-        # past 2**53 a float64 cannot hold the integer a pairing should return
-        if abs(self.twist) > 2 ** 53:
-            raise ConfigError(f"twist must be at most 2**53 in magnitude, got {raw['twist']!r}")
         self.poly_kind = raw.get("poly.kind", "chern_normalized")
         self.classes = _int_list(raw.get("classes", "0"))
         if not self.classes:
             raise ConfigError("classes must list at least one class degree")
-        d = len(self.grid.fiber_axes)
         for r in self.classes:
             if not 0 <= r <= len(base_sizes):
                 raise ConfigError(f"classes: degree r={r} outside 0..{len(base_sizes)}, "
                                   "the number of base axes")
-            if (r + d) % 2 != 0:
-                raise ConfigError(f"class degree r={r} and fiber dimension d={d} "
-                                  "must have the same parity")
+            class_degree(r, len(fiber_sizes))
         # a NaN, infinite or negative bound would fail or pass every pairing
         self.tol_pairing = _number(float, raw.get("tol.pairing", 1e-8))
         if not (isfinite(self.tol_pairing) and self.tol_pairing >= 0.0):
@@ -120,15 +112,6 @@ class SceneConfig:
         if self.expect_pairing is not None and not isfinite(self.expect_pairing):
             raise ConfigError("expect.pairing must be a finite number, "
                               f"got {raw['expect.pairing']!r}")
-
-    def check_size(self, grid: Grid) -> None:
-        """Raise SizeLimitError, before anything is sampled, when this scene's
-        connection on `grid` would take more than MAX_CONNECTION_BYTES."""
-        nbytes = 16 * grid.dim * prod(grid.sizes + value_shape(self.group))
-        if nbytes > MAX_CONNECTION_BYTES:
-            raise SizeLimitError(f"connection of {nbytes / 2**20:.0f} MiB on grid "
-                                 f"{grid.sizes} exceeds the limit of "
-                                 f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
 
     def build_connection(self, grid: Grid | None = None) -> ProductConnection:
         grid = grid or self.grid

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CaloronError, ConfigError
-from .lattice import U1, Grid
+from .lattice import SU2, U1, Grid
 from .transform import GaugeGroupConnection, HiggsFieldMap, ProductConnection
 
 
@@ -66,7 +66,9 @@ def _decode_array(data, group: str) -> np.ndarray:
     if raw.ndim < 1 or raw.shape[-1] != 2:
         raise ConfigError(f"array entries must be [re, im] pairs, got shape {raw.shape}")
     cplx = raw.view(complex)[..., 0]
-    return cplx if group == U1 else cplx.reshape(cplx.shape[:-1] + (2, 2))
+    # only an SU(2) value's 4 entries form a matrix; any other group keeps one
+    # value per pair, so an unknown group reaches the connection check intact
+    return cplx.reshape(cplx.shape[:-1] + (2, 2)) if group == SU2 else cplx
 
 
 def _number_array(data) -> np.ndarray:
@@ -199,8 +201,15 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_document(path: str) -> dict:
+    """The JSON value in `path`; nesting past the parser's recursion limit, or
+    an integer past int()'s digit limit, is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (CaloronError, json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (RecursionError, ValueError) as exc:
+            raise ConfigError(f"unreadable document: {type(exc).__name__}: {exc}") from None
 
 
 def save_document(doc: dict, path: str) -> None:

@@ -12,28 +12,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
-from .errors import ConfigError, DegreeError, ShapeError
+from .errors import ConfigError, DegreeError, ShapeError, SizeLimitError
 from .lattice import (
+    GROUPS,
     TWO_PI,
     U1,
     FormField,
     Grid,
     LinkField,
     central_difference,
+    conjugate,
     group_inverse,
+    group_mul,
     point_array,
     twist_plane,
     value_shape,
     zero_array,
 )
 
+# bytes of a connection's arrays: one complex array per axis
+MAX_CONNECTION_BYTES = 2 ** 30
 
-def _check_product(grid: Grid) -> None:
+
+def check_connection(grid: Grid, group: str, twist: int) -> None:
+    """Raise unless `grid` is a product grid, `group` is in GROUPS, the arrays
+    take at most MAX_CONNECTION_BYTES and a nonzero twist has a twist_plane.
+    Every route to a connection or link field calls it before sampling or writing."""
     if not grid.base_axes or not grid.fiber_axes:
         raise ConfigError("product grid needs at least one base and one fiber axis")
+    if group not in GROUPS:
+        raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(GROUPS))
+    nbytes = 16 * grid.dim * prod(grid.sizes + value_shape(group))
+    if nbytes > MAX_CONNECTION_BYTES:
+        raise SizeLimitError(f"connection of {nbytes / 2**20:.0f} MiB on grid "
+                             f"{grid.sizes} exceeds the limit of "
+                             f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
+    if twist:
+        twist_plane(grid, group)
 
 
 @dataclass
@@ -56,7 +75,7 @@ class ProductConnection:
         return tuple(range(self.grid.dim))
 
     def __post_init__(self):
-        _check_product(self.grid)
+        check_connection(self.grid, self.group, self.twist)
         axes = self._axes()
         stray = [a for a in self.comps if a not in axes]
         if stray:
@@ -141,7 +160,7 @@ def inverse_transform(a: GaugeGroupConnection, phi: HiggsFieldMap) -> ProductCon
 def link_forward(u: LinkField) -> tuple:
     """Exact holonomy split: base-direction links (gauge-group valued on the base)
     and fiber-direction links (a lattice connection on the fiber per base site)."""
-    _check_product(u.grid)
+    check_connection(u.grid, u.group, 0)
     base = {a: u.links[a] for a in u.grid.base_axes}
     fiber = {a: u.links[a] for a in u.grid.fiber_axes}
     return base, fiber
@@ -149,7 +168,7 @@ def link_forward(u: LinkField) -> tuple:
 
 def link_inverse(base: dict, fiber: dict, grid: Grid, group: str) -> LinkField:
     """The links of the base and fiber blocks, which must cover the grid's axes."""
-    _check_product(grid)
+    check_connection(grid, group, 0)
     return LinkField(grid, group, {**base, **fiber})
 
 
@@ -243,8 +262,5 @@ def higgs_gauge_action(phi: HiggsFieldMap, psi: np.ndarray) -> HiggsFieldMap:
     out = {}
     for nu in grid.fiber_axes:
         dpsi = central_difference(psi, nu, h[nu])
-        if group == U1:
-            out[nu] = phi.component(nu) + inv * dpsi
-        else:
-            out[nu] = inv @ phi.component(nu) @ psi + inv @ dpsi
+        out[nu] = conjugate(group, inv, phi.component(nu), psi) + group_mul(group, inv, dpsi)
     return HiggsFieldMap(grid, group, out, twist=phi.twist)

@@ -20,11 +20,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from caloron import chernweil, cli, lattice as lat, serialize, universal
 from caloron.cli import (EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform,
                          main, run)
-from caloron.errors import ConfigError, SingularOperatorError, SizeLimitError
+from caloron.errors import ConfigError, ParityError, SingularOperatorError, SizeLimitError
 from caloron.lattice import SU2, U1, Grid
-from caloron.scene import (MAX_CONNECTION_BYTES, SCENE_KEYS, SceneConfig, parse_config_text,
-                           report_hash)
-from caloron.transform import ProductConnection, forward_transform
+from caloron.scene import SCENE_KEYS, SceneConfig, parse_config_text, report_hash
+from caloron.transform import (MAX_CONNECTION_BYTES, ProductConnection, check_connection,
+                               forward_transform, link_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_scene_config_defaults_and_validation():
     assert sc.grid.sizes == (4, 8, 8)
     assert sc.grid.base_axes == (0,)
     assert sc.group == U1 and sc.classes == (0,)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParityError, match="must have the same parity"):
         SceneConfig({"base.sizes": "4", "fiber.sizes": "8,8", "classes": "1"})
     with pytest.raises(ConfigError):
         SceneConfig({"group": "e8"})
@@ -377,6 +377,25 @@ def test_transform_bad_json_exit_code(tmp_path, capsys):
         assert main(["transform", "--input", str(bad),
                      "--direction", "forward"]) == EXIT_VALIDATION
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"kind": "product_connection", "twist": ' + "9" * 5000 + "}",
+], ids=["nested", "long-integer"])
+def test_transform_unreadable_document_exit_code(tmp_path, capsys, text):
+    """Nesting past the parser's recursion limit, or an integer past int()'s
+    digit limit, is the reader's ConfigError and exits 2; json.load raises
+    RecursionError or ValueError there."""
+    src, out = tmp_path / "w.json", tmp_path / "out.json"
+    src.write_text(text)
+    with pytest.raises(ConfigError, match="unreadable document"):
+        serialize.load_document(str(src))
+    assert main(["transform", "--input", str(src), "--direction", "forward",
+                 "--output", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unreadable document" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_transform_missing_file_exit_code(tmp_path, capsys):
@@ -804,6 +823,21 @@ def test_classes_family_of_another_group_exit_code(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "r.json").exists()
 
 
+def test_classes_su2_twist_exit_code(tmp_path, capsys, monkeypatch):
+    """A twist on an su2 scene exits 2 before anything is sampled."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(lat, "band_limited_scalar", no_sampling)
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("base.sizes = 4\nfiber.sizes = 8\ngroup = su2\n"
+                   "family = su2_band_limited\ntwist = 1\nclasses = 1\n")
+    assert main(["classes", "--config", str(cfg),
+                 "--report", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+    assert "twists are supported for U(1) only" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_classes_max_mode_bound_exit_code(tmp_path, capsys):
     cfg = tmp_path / "scene.cfg"
     cfg.write_text("base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\n"
@@ -926,6 +960,88 @@ def test_transform_unknown_document_key_exit_code(tmp_path, capsys, kind, path, 
                  "--output", str(tmp_path / "out.json")]) == EXIT_VALIDATION
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def _empty_document(kind: str, sizes: tuple, group) -> dict:
+    """A connection or pair document with no components, on the grid of
+    `sizes` with base axis 0; nothing is built to write it."""
+    blocks = {"components": {}} if kind == "product_connection" else {"A": {}, "Phi": {}}
+    grid = {"dim": len(sizes), "sizes": list(sizes), "lengths": [lat.TWO_PI] * len(sizes),
+            "base_axes": [0]}
+    return {"kind": kind, "grid": grid, "group": group, "twist": 0, **blocks}
+
+
+@pytest.mark.parametrize("components", [True, False], ids=["components", "empty"])
+@pytest.mark.parametrize("group", ["x", "scalar", ["u1"]], ids=["x", "scalar", "list"])
+@pytest.mark.parametrize("kind,direction", [
+    ("product_connection", "forward"), ("product_connection", "roundtrip"),
+    ("transform_pair", "inverse"), ("transform_pair", "roundtrip")])
+def test_transform_unknown_group_exit_code(tmp_path, capsys, kind, direction, group,
+                                           components):
+    """A document group outside lattice.GROUPS exits 2, naming the groups,
+    and writes nothing."""
+    doc = _empty_document(kind, (4, 4, 4), group)
+    if components:
+        doc = _zero_connection_doc()
+        if kind == "transform_pair":
+            doc = serialize.pair_to_doc(*forward_transform(serialize.connection_from_doc(doc)))
+        doc["group"] = group
+    src, out = tmp_path / "w.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    assert main(["transform", "--input", str(src), "--direction", direction,
+                 "--output", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "known groups: u1, su2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# u1 at 10**12 points; su2 four points past 1 GiB (2**23 points fill it)
+@pytest.mark.parametrize("group,sizes", [(U1, (4, 10 ** 12)), (SU2, (4, 2 ** 21 + 1))],
+                         ids=["u1", "su2"])
+@pytest.mark.parametrize("kind,direction", [
+    ("product_connection", "forward"), ("product_connection", "roundtrip"),
+    ("transform_pair", "inverse")])
+def test_transform_connection_size_limit_exit_code(tmp_path, capsys, kind, direction,
+                                                   group, sizes):
+    """A document with no components on a grid whose connection would pass
+    MAX_CONNECTION_BYTES exits 2 at once, before any zeros are written."""
+    src, out = tmp_path / "w.json", tmp_path / "out.json"
+    src.write_text(json.dumps(_empty_document(kind, sizes, group)))
+    start = time.perf_counter()
+    assert main(["transform", "--input", str(src), "--direction", direction,
+                 "--output", str(out)]) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every route to a connection or link field, each given a grid and a group
+_CONNECTION_ROUTES = {
+    "scene": lambda grid, group: SceneConfig(parse_config_text(
+        f"base.sizes = {grid.sizes[0]}\nfiber.sizes = {grid.sizes[1]}\ngroup = {group}\n")),
+    "connection-document": lambda grid, group: serialize.connection_from_doc(
+        _empty_document("product_connection", grid.sizes, group)),
+    "pair-document": lambda grid, group: serialize.pair_from_doc(
+        _empty_document("transform_pair", grid.sizes, group)),
+    "ProductConnection": lambda grid, group: ProductConnection(grid, group, {}),
+    "link_inverse": lambda grid, group: link_inverse({}, {}, grid, group),
+}
+
+
+@pytest.mark.parametrize("route", list(_CONNECTION_ROUTES))
+@pytest.mark.parametrize("sizes,group,error", [
+    ((4, 8), "x", ConfigError),
+    ((4, 10 ** 12), U1, SizeLimitError),
+], ids=["group", "size"])
+def test_connection_check_same_on_every_route(route, sizes, group, error):
+    """Each route raises transform.check_connection's own error, message and
+    all, so no route keeps a rule of its own."""
+    grid = Grid(sizes=sizes, base_axes=(0,))
+    with pytest.raises(error) as want:
+        check_connection(grid, group, 0)
+    with pytest.raises(error) as got:
+        _CONNECTION_ROUTES[route](grid, group)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("dim", [7, 2, 0])

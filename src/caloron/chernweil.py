@@ -111,13 +111,6 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     return FormField(grid, SCALAR, total_degree, out)
 
 
-def chern_weil_form(f: InvariantPolynomial, F: FormField) -> FormField:
-    """f(F, ..., F): the Chern-Weil 2k-form of a curvature 2-form."""
-    if F.degree != 2:
-        raise DegreeError("chern_weil_form expects a curvature 2-form")
-    return eval_invariant(f, [F] * f.degree)
-
-
 def fiber_integrate(w: FormField) -> FormField:
     """Integrate a scalar-valued form on the product over all fiber axes.
 

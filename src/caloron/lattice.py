@@ -126,6 +126,9 @@ class Grid:
 
 
 def value_shape(group: str) -> tuple:
+    """The trailing array shape of one `group` value; ConfigError for another group."""
+    if group not in _VALUE_SHAPE:
+        raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(_VALUE_SHAPE))
     return _VALUE_SHAPE[group]
 
 
@@ -198,29 +201,6 @@ def group_mul(group: str, *factors) -> np.ndarray:
     return out
 
 
-def conjugate(group: str, g: np.ndarray, x: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """g x g^{-1} pointwise, given g^{-1}; U(1) values commute, so x itself."""
-    return g @ x @ ginv if group == SU2 else x
-
-
-def alg_violation(group: str, X: np.ndarray) -> float:
-    """Max deviation from the algebra constraints (anti-Hermitian, traceless)."""
-    if group == U1:
-        return float(np.max(np.abs(np.real(X)), initial=0.0))
-    anti = np.max(np.abs(X + np.conj(np.swapaxes(X, -1, -2))), initial=0.0)
-    tr = np.max(np.abs(trace2(X)), initial=0.0)
-    return float(max(anti, tr))
-
-
-def group_violation(group: str, U: np.ndarray) -> float:
-    if group == U1:
-        return float(np.max(np.abs(np.abs(U) - 1.0), initial=0.0))
-    Udag = group_inverse(group, U)
-    unit = np.max(np.abs(Udag @ U - EYE2), initial=0.0)
-    det = np.max(np.abs(np.linalg.det(U) - 1.0), initial=0.0)
-    return float(max(unit, det))
-
-
 # ---------------------------------------------------------------------------
 # forms
 
@@ -260,6 +240,7 @@ class FormField:
     comps: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        value_shape(self.group)
         if not 0 <= self.degree:
             raise DegreeError(f"degree {self.degree} negative")
         valid = _component_keys(self.grid.dim, self.degree)
@@ -445,22 +426,6 @@ def bracket(a: FormField, b: FormField) -> FormField:
     return wedge(a, b, mul=lambda x, y: x @ y - y @ x)
 
 
-def integrate(f: FormField, axes=None):
-    """Trapezoidal (= mean * volume) integral of the component spanning `axes`.
-
-    With axes=None the form must be top degree. On a periodic grid the
-    trapezoid rule is the plain mean times volume, exact for pure harmonics.
-    The result keeps the value dimensions (and any non-integrated grid axes).
-    """
-    if axes is None:
-        axes = tuple(range(f.grid.dim))
-    key = tuple(sorted(axes))
-    if f.degree != len(key):
-        raise DegreeError(f"degree-{f.degree} form cannot be integrated over "
-                          f"{len(key)} axes")
-    return np.mean(f.component(key), axis=key) * f.grid.volume(key)
-
-
 # ---------------------------------------------------------------------------
 # link fields
 
@@ -482,12 +447,6 @@ class LinkField:
         self.links = {a: point_array(self.grid, self.group, self.links[a],
                                      f"link array for axis {a}") for a in axes}
 
-    @classmethod
-    def identity(cls, grid: Grid, group: str) -> "LinkField":
-        one = np.ones((), dtype=complex) if group == U1 else EYE2
-        shape = grid.sizes + value_shape(group)
-        return cls(grid, group, {a: np.broadcast_to(one, shape) for a in range(grid.dim)})
-
 
 def plaquette_holonomy(u: LinkField, ax: int, ay: int) -> np.ndarray:
     """U_x(s) U_y(s+x) U_x(s+y)^{-1} U_y(s)^{-1} per site."""
@@ -499,59 +458,11 @@ def plaquette_holonomy(u: LinkField, ax: int, ay: int) -> np.ndarray:
     return group_mul(g, Ux, Uy_xp, group_inverse(g, Ux_yp), group_inverse(g, Uy))
 
 
-def plaquette_curvature(u: LinkField) -> FormField:
-    """Curvature 2-form from plaquette holonomies (principal log / plaquette area)."""
-    if u.grid.dim != 2:
-        raise DegreeError("plaquette_curvature requires a 2-dimensional grid")
-    h = u.grid.spacings
-    P = plaquette_holonomy(u, 0, 1)
-    F = group_log(u.group, P) / (h[0] * h[1])
-    return FormField(u.grid, u.group, 2, {(0, 1): F})
-
-
 def total_flux(u: LinkField, ax: int = 0, ay: int = 1) -> complex:
     """Sum of principal plaquette logs; 2*pi*i*(integer) on a closed surface."""
     total = np.sum(group_log(u.group, plaquette_holonomy(u, ax, ay)),
                    axis=tuple(range(u.grid.dim)))
     return complex(total if u.group == U1 else trace2(total) / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# gauge transformations
-
-
-def gauge_transform_form(f: FormField, g: np.ndarray) -> FormField:
-    """Pointwise conjugation of an algebra-valued form by a group-valued 0-form."""
-    g = point_array(f.grid, f.group, g, "gauge field")
-    ginv = group_inverse(f.group, g)
-    return FormField(f.grid, f.group, f.degree,
-                     {k: conjugate(f.group, g, v, ginv) for k, v in f.comps.items()})
-
-
-def gauge_transform_links(u: LinkField, g: np.ndarray) -> LinkField:
-    """U_a(s) -> g(s) U_a(s) g(s + e_a)^{-1}."""
-    out = {}
-    for a, U in u.links.items():
-        g_shift = np.roll(g, -1, axis=a)
-        out[a] = group_mul(u.group, g, U, group_inverse(u.group, g_shift))
-    return LinkField(u.grid, u.group, out)
-
-
-def gauge_transform_connection(A: FormField, g: np.ndarray) -> FormField:
-    """Connection 1-form transform g A g^{-1} + g d(g^{-1}), central differences.
-
-    Every component is present in the result: the g d(g^{-1}) term appears
-    also where A has no component."""
-    if A.degree != 1:
-        raise DegreeError("connection transform needs a 1-form")
-    h = A.grid.spacings
-    ginv = group_inverse(A.group, g)
-    out = {}
-    for a in range(A.grid.dim):
-        g_dginv = group_mul(A.group, g, central_difference(ginv, a, h[a]))
-        arr = A.comps.get((a,))
-        out[(a,)] = g_dginv if arr is None else conjugate(A.group, g, arr, ginv) + g_dginv
-    return FormField(A.grid, A.group, 1, out)
 
 
 # ---------------------------------------------------------------------------

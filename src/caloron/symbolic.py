@@ -30,12 +30,6 @@ MAX_EXPAND_POWER = 12
 Word = tuple  # tuple of generator names
 
 
-def word_bidegree(word: Word) -> tuple[int, int]:
-    base = sum(BIDEGREE[g][0] for g in word)
-    fiber = sum(BIDEGREE[g][1] for g in word)
-    return (base, fiber)
-
-
 @dataclass
 class Expression:
     """Finite map word -> nonzero rational coefficient."""

@@ -25,9 +25,6 @@ from .lattice import (
     Grid,
     LinkField,
     central_difference,
-    conjugate,
-    group_inverse,
-    group_mul,
     point_array,
     twist_plane,
     value_shape,
@@ -238,29 +235,3 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
             out[(mu, nu)] = val
     bg = background_curvature(grid, group, phi.twist).bidegree_part(1, 1)
     return FormField(grid, group, 2, out) + bg
-
-
-def higgs_gauge_action(phi: HiggsFieldMap, psi: np.ndarray) -> HiggsFieldMap:
-    """Fiber gauge transformation of the Higgs field:
-    Phi -> psi^{-1} Phi psi + psi^{-1} d psi (central differences).
-
-    `psi` is a group-valued array on the fiber grid (applied uniformly over the
-    base) or on the full product grid (per base point).
-    """
-    grid, group = phi.grid, phi.group
-    full_shape = grid.sizes + value_shape(group)
-    fiber_shape = tuple(grid.sizes[ax] for ax in grid.fiber_axes) + value_shape(group)
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape == fiber_shape:
-        expand = (1,) * len(grid.base_axes) + fiber_shape
-        psi = np.broadcast_to(psi.reshape(expand), full_shape)
-    elif psi.shape != full_shape:
-        raise ShapeError(f"psi shape {psi.shape} matches neither the fiber grid "
-                         f"nor the product grid")
-    inv = group_inverse(group, psi)
-    h = grid.spacings
-    out = {}
-    for nu in grid.fiber_axes:
-        dpsi = central_difference(psi, nu, h[nu])
-        out[nu] = conjugate(group, inv, phi.component(nu), psi) + group_mul(group, inv, dpsi)
-    return HiggsFieldMap(grid, group, out, twist=phi.twist)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, ShapeError, SingularOperatorError,
                      SizeLimitError)
-from .lattice import SU2, U1, group_exp, su2_coords, su2_from_coords
+from .lattice import GROUPS, SU2, U1, group_exp, su2_coords, su2_from_coords
 from .scene import Check
 
 MAX_VERTICES = 2 ** 16
@@ -46,6 +46,13 @@ SOLVE_TOLERANCE = 1e-10
 _MIN_BLOCK = 32
 
 ALG_DIM = {U1: 1, SU2: 3}
+
+
+def alg_dim(group: str) -> int:
+    """Real coordinates of one `group` algebra value; ConfigError for another group."""
+    if group not in ALG_DIM:
+        raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(GROUPS))
+    return ALG_DIM[group]
 
 
 def alg_bracket(group: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,7 +183,7 @@ def _check_shape(graph: GraphX, group: str, x: np.ndarray, kind: str) -> np.ndar
     """x as a float array of one algebra value per vertex or per edge of
     `graph`, as `kind` says; any other shape is a ShapeError."""
     x = np.asarray(x, dtype=float)
-    want = (graph.n_vertices if kind == "vertex" else graph.n_edges, ALG_DIM[group])
+    want = (graph.n_vertices if kind == "vertex" else graph.n_edges, alg_dim(group))
     if x.shape != want:
         raise ShapeError(f"{kind} field shape {x.shape}, expected {want}")
     return x
@@ -205,7 +212,7 @@ def green_blocks(graph: GraphX, group: str) -> list:
     allocated, when the factor over these blocks would take more than
     MAX_FACTOR_BYTES.
     """
-    g = ALG_DIM[group]
+    g = alg_dim(group)
     blocks, run, count = [], [], 0
     for level in graph.levels[1:]:
         run.append(level)
@@ -237,7 +244,7 @@ def _laplacian_blocks(graph: GraphX, group: str, omega: np.ndarray,
     diagonal, the transpose of the one below.  All blocks share one buffer,
     filled by a single scatter.
     """
-    g = ALG_DIM[group]
+    g = alg_dim(group)
     sizes = np.array([g * len(b) for b in blocks])
     blk = np.full(graph.n_vertices, -1)
     pos = np.zeros(graph.n_vertices, dtype=np.intp)
@@ -309,7 +316,7 @@ class GreenOperator:
         self.omega = _check_shape(graph, group, omega, "edge")
         blocks = green_blocks(graph, group)
         self._order = np.concatenate(blocks)
-        bounds = np.cumsum([0] + [ALG_DIM[group] * len(b) for b in blocks])
+        bounds = np.cumsum([0] + [alg_dim(group) * len(b) for b in blocks])
         self._slices = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
         # each D_k is overwritten by C_k^{-1} and each E_k by W_k: a second
         # buffer, with the first one freed, fragments the heap and raises peak RSS
@@ -340,7 +347,7 @@ class GreenOperator:
         for c, w, y_k, x_next, x_k in zip(cinv[-2::-1], W[::-1], ys[-2::-1],
                                           xs[::-1], xs[-2::-1]):
             np.matmul(c.T, y_k - w.T @ x_next, out=x_k)
-        out = np.zeros((self.graph.n_vertices, ALG_DIM[self.group]))
+        out = np.zeros((self.graph.n_vertices, alg_dim(self.group)))
         out[self._order] = x.reshape(len(self._order), -1)
         graph, group, omega = self.graph, self.group, self.omega
         lx = adjoint_cov_deriv(graph, group, omega, cov_deriv(graph, group, omega, out))
@@ -401,7 +408,7 @@ def run_property_suite(graph: GraphX, group: str, seed: int = 0) -> list:
     deterministic per seed.
     """
     rng = np.random.default_rng(seed)
-    g = ALG_DIM[group]
+    g = alg_dim(group)
     omega = rng.standard_normal((graph.n_edges, g))
     gop = GreenOperator(graph, group, omega)
     mu = project_based(graph, rng.standard_normal((graph.n_vertices, g)))
@@ -486,12 +493,12 @@ def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray, ele
     magnitude).  Identically zero on graphs without faces (rings)."""
     (e1, m1), (e2, m2) = z1, z2
     if not graph.plaquettes:
-        return np.zeros(ALG_DIM[group])
+        return np.zeros(alg_dim(group))
     for face in graph.plaquettes:
         if e1 in face and e2 in face:
             break
     else:
-        return np.zeros(ALG_DIM[group])
+        return np.zeros(alg_dim(group))
     # forward-difference curl + bracket on the face (x-like edges bottom/top,
     # y-like edges left/right, all oriented positively)
     e_b, e_r, e_t, e_l = face[0], face[1], face[2], face[3]
@@ -503,7 +510,7 @@ def _omega_plaquette_curvature(graph: GraphX, group: str, omega: np.ndarray, ele
     elif e1 in y_like and e2 in x_like:
         sign = -1.0
     else:
-        return np.zeros(ALG_DIM[group])
+        return np.zeros(alg_dim(group))
     val = sign * m1 * m2 * curl
     return _ad_inverse(group, element, val)
 

@@ -97,20 +97,3 @@ def test_curvature_split_blocks_share_arrays(group, twist):
     for block in blocks:
         for key, arr in block.comps.items():
             assert np.shares_memory(arr, total.comps[key])
-
-
-@pytest.mark.parametrize("group", [U1, SU2])
-def test_gauge_transform_of_zero_connection(group):
-    grid = Grid(sizes=(6, 8))
-    rng = np.random.default_rng(42)
-    if group == U1:
-        g = np.exp(1j * rng.standard_normal(grid.sizes))
-    else:
-        g = lat.group_exp(SU2, lat.su2_from_coords(rng.standard_normal(grid.sizes + (3,))))
-    out = lat.gauge_transform_connection(FormField.zero(grid, group, 1), g)
-    ginv = lat.group_inverse(group, g)
-    assert set(out.comps) == {(0,), (1,)}
-    for a in range(grid.dim):
-        dginv = lat.central_difference(ginv, a, grid.spacings[a])
-        want = g * dginv if group == U1 else g @ dginv
-        assert np.array_equal(out.comps[(a,)], want)

@@ -1,0 +1,85 @@
+"""The library holds only what a command, the acceptance gate or the benchmark
+reaches: every top-level function, class and non-dunder method of
+src/caloron is referenced from src/caloron (outside its own definition),
+tests/test_acceptance.py or bench/*.py.
+
+References are found statically: names, attributes, and string constants
+that are dotted identifier paths (the benchmark's span targets name
+functions as strings); an import alone is no reference.  A reference from
+inside a definition that is itself unreached does not count, so a helper
+whose only callers are unreached goes too.
+"""
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "caloron").glob("*.py"))
+CALLERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _references(node: ast.AST) -> Counter:
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and _DOTTED.fullmatch(n.value)):
+            refs.update(n.value.split("."))
+    return refs
+
+
+def _definitions(path: Path, roots: Counter) -> list:
+    """(qualified name, name, references) per checked definition of one module.
+    Module-level statements add to `roots`, since they run on import; a
+    class's dunder methods, body statements, decorators and bases are the
+    class's own references."""
+    units = []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, _FUNCTIONS):
+            units.append((f"{path.stem}.{stmt.name}", stmt.name, _references(stmt)))
+            continue
+        if not isinstance(stmt, ast.ClassDef):
+            roots.update(_references(stmt))
+            continue
+        qual = f"{path.stem}.{stmt.name}"
+        own = Counter()
+        for item in stmt.body:
+            if isinstance(item, _FUNCTIONS) and not (item.name.startswith("__")
+                                                     and item.name.endswith("__")):
+                units.append((f"{qual}.{item.name}", item.name, _references(item)))
+            else:
+                own.update(_references(item))
+        for deco in stmt.decorator_list + stmt.bases:
+            own.update(_references(deco))
+        units.append((qual, stmt.name, own))
+    return units
+
+
+def unreached() -> list:
+    """Qualified names of the library definitions nothing live refers to."""
+    roots = Counter()
+    for path in CALLERS:
+        roots.update(_references(ast.parse(path.read_text())))
+    live = [u for path in LIBRARY for u in _definitions(path, roots)]
+    dead = []
+    while True:
+        total = roots.copy()
+        for _, _, refs in live:
+            total.update(refs)
+        # a definition's references to its own name do not reach it
+        gone = [u for u in live if total[u[1]] - u[2][u[1]] == 0]
+        if not gone:
+            return sorted(dead)
+        dead += [q for q, _, _ in gone]
+        live = [u for u in live if u not in gone]
+
+
+def test_library_holds_only_reached_definitions():
+    assert unreached() == []

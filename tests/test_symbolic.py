@@ -23,7 +23,9 @@ def expand_power(k: int) -> Expression:
 
 def filter_bidegree(e: Expression, base: int, fiber: int) -> Expression:
     return Expression(
-        {w: c for w, c in e.terms.items() if sym.word_bidegree(w) == (base, fiber)}
+        {w: c for w, c in e.terms.items()
+         if (sum(sym.BIDEGREE[g][0] for g in w), sum(sym.BIDEGREE[g][1] for g in w))
+         == (base, fiber)}
     )
 
 
@@ -59,8 +61,8 @@ def test_filter_pure_fa():
 
 
 def test_filter_mixed_22():
-    # oracle: enumerate all 9 words of length 2 and keep bidegree (2, 2)
-    keep = {w for w in expand_power(2).terms if sym.word_bidegree(w) == (2, 2)}
+    # oracle: enumerate all 9 words of length 2 (total degree 4) and keep base degree 2
+    keep = {w for w in expand_power(2).terms if sum(sym.BIDEGREE[g][0] for g in w) == 2}
     assert keep == {(FA, FPHI), (FPHI, FA), (NABLA, NABLA)}
     e = filter_bidegree(expand_power(2), 2, 2)
     assert set(e.terms) == keep

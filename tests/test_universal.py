@@ -67,6 +67,11 @@ def test_graph_validation():
         GraphX(4, GraphX.ring(4).edges, 9)
 
 
+def test_property_suite_rejects_unknown_group():
+    with pytest.raises(ConfigError, match="known groups: u1, su2$"):
+        run_property_suite(parse_graph("ring:8"), "x")
+
+
 def test_parse_graph():
     g = parse_graph("ring:6")
     assert (g.n_vertices, g.n_edges) == (6, 6)

@@ -193,11 +193,35 @@ def group_inverse(group: str, U: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(U, -1, -2))
 
 
+def su2_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Pointwise 2x2 product over broadcast stacks, in fixed-order real arithmetic.
+
+    C_ij = X_i0 Y_0j + X_i1 Y_1j, with a_k = X_ik and b_k = Y_kj, is
+    re = (a0r b0r - a0i b0i) + (a1r b1r - a1i b1i) and
+    im = (a0r b0i + a0i b0r) + (a1r b1i + a1i b1r): per point, CPython's
+    complex product and sum.  Only float multiplies, adds and subtracts
+    touch the data, so the bits do not depend on the BLAS kernel or on the
+    CPU (`@` calls zgemm once per point; numpy's complex `*` fuses
+    multiply-adds on AVX2 and AVX-512).
+    """
+    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=complex)
+    for i in (0, 1):
+        a0, a1 = X[..., i, 0], X[..., i, 1]
+        a0r, a0i, a1r, a1i = a0.real, a0.imag, a1.real, a1.imag
+        for j in (0, 1):
+            b0, b1 = Y[..., 0, j], Y[..., 1, j]
+            b0r, b0i, b1r, b1i = b0.real, b0.imag, b1.real, b1.imag
+            c = out[..., i, j]
+            c.real = (a0r * b0r - a0i * b0i) + (a1r * b1r - a1i * b1i)
+            c.imag = (a0r * b0i + a0i * b0r) + (a1r * b1i + a1i * b1r)
+    return out
+
+
 def group_mul(group: str, *factors) -> np.ndarray:
-    """Pointwise product, left to right: matrix for SU(2), complex otherwise."""
+    """Pointwise product, left to right: su2_mul for SU(2), complex otherwise."""
     out = factors[0]
     for f in factors[1:]:
-        out = out @ f if group == SU2 else out * f
+        out = su2_mul(out, f) if group == SU2 else out * f
     return out
 
 
@@ -423,7 +447,7 @@ def bracket(a: FormField, b: FormField) -> FormField:
         raise DegreeError("bracket degree exceeds grid dimension")
     if a.group == U1:
         return FormField.zero(a.grid, a.group, a.degree + b.degree)
-    return wedge(a, b, mul=lambda x, y: x @ y - y @ x)
+    return wedge(a, b, mul=lambda x, y: su2_mul(x, y) - su2_mul(y, x))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .lattice import (
     LinkField,
     central_difference,
     point_array,
+    su2_mul,
     twist_plane,
     value_shape,
     zero_array,
@@ -202,7 +203,7 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
         np.subtract(Fij, central_difference(A[i], j, h[j], rows), out=Fij)
         if group != U1:
             Ai, Aj = A[i][rows], A[j][rows]
-            Fij += Ai @ Aj - Aj @ Ai
+            Fij += su2_mul(Ai, Aj) - su2_mul(Aj, Ai)
         F[(i, j)] = Fij
     slab = grid.slab(rows)
     F = FormField(slab, group, 2, F) + background_curvature(slab, group, w.twist)
@@ -231,7 +232,7 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
             np.subtract(val, central_difference(a.component(mu), nu, h[nu]), out=val)
             if group != U1:
                 Am, Pn = a.component(mu), phi.component(nu)
-                val = val + (Am @ Pn - Pn @ Am)
+                val = val + (su2_mul(Am, Pn) - su2_mul(Pn, Am))
             out[(mu, nu)] = val
     bg = background_curvature(grid, group, phi.twist).bidegree_part(1, 1)
     return FormField(grid, group, 2, out) + bg

@@ -290,7 +290,8 @@ def _nabla_phi_oracle(a, phi):
             val = lat.central_difference(phi.comps[nu], mu, h[mu]) \
                 - lat.central_difference(a.comps[mu], nu, h[nu])
             if a.group != U1:
-                val = val + (a.comps[mu] @ phi.comps[nu] - phi.comps[nu] @ a.comps[mu])
+                Am, Pn = a.comps[mu], phi.comps[nu]
+                val = val + (lat.group_mul(a.group, Am, Pn) - lat.group_mul(a.group, Pn, Am))
             out[(mu, nu)] = val
     bg = background_curvature(a.grid, a.group, phi.twist).bidegree_part(1, 1)
     return FormField(a.grid, a.group, 2, out) + bg

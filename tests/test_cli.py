@@ -699,21 +699,30 @@ def test_selftest_green_and_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+# `classes` scenes in su(2) and their report hashes
+_SU2_CLASS_PINS = [
+    ("base.sizes = 4,4\nfiber.sizes = 8,8\ngroup = su2\nfamily = su2_band_limited\n"
+     "family.max_mode = 1\nseed = 3\nclasses = 0,2\n",
+     "82048cb50090bb1547b1303ee10539b5d44ea06ff92cc11a0cfa6560751b7532"),
+    ("base.sizes = 6,6,6\nfiber.sizes = 6\ngroup = su2\nfamily = su2_band_limited\n"
+     "family.max_mode = 1\nseed = 4\nclasses = 1,3\n",
+     "38314e8da3a8fb4724afbb5321eb011f25165235171fbaf3033615fee81a8f8d"),
+]
+
+
 @pytest.mark.parametrize("scene,want", [
     (None, "5985fdaa3d7fe79026f5ebbc2b03ca015d7be011079701750ce636ec96dbb9aa"),
     ("base.sizes = 8,8\nfiber.sizes = 16,16\ngroup = u1\nfamily = u1_harmonic\n"
      "family.max_mode = 2\nseed = 5\ntwist = 2\nclasses = 0,2\n",
      "d04f2e2dc818eb02d07d4c024c0c554cd99d452ddd278630dfab456c2c61bf87"),
-    ("base.sizes = 4,4\nfiber.sizes = 8,8\ngroup = su2\nfamily = su2_band_limited\n"
-     "family.max_mode = 1\nseed = 3\nclasses = 0,2\n",
-     "3fea59029327449ac4d162dae807baf9f9e00edcc1c23db25aba576e75fedbab"),
-    ("base.sizes = 6,6,6\nfiber.sizes = 6\ngroup = su2\nfamily = su2_band_limited\n"
-     "family.max_mode = 1\nseed = 4\nclasses = 1,3\n",
-     "56f9c1fa0d7bd2b82f3cae3f99fe7a2a87a10513f6909ad5a216f797cddaa05f"),
+    *_SU2_CLASS_PINS,
 ])
 def test_report_hash_pinned(tmp_path, capsys, scene, want):
     """Reports of fixed runs keep their bits: `selftest --seed 7` (scene None)
-    and three `classes` scenes."""
+    and three `classes` scenes.  The selftest pin also depends on OpenBLAS's
+    core type, through the universal suite's residuals (5985fdaa... on
+    SkylakeX, 235d44bd... on Haswell, 8c48332f... on Sandybridge); the class
+    pins do not."""
     rep = tmp_path / "r.json"
     if scene is None:
         argv = ["selftest", "--seed", "7"]
@@ -726,15 +735,48 @@ def test_report_hash_pinned(tmp_path, capsys, scene, want):
     capsys.readouterr()
 
 
+def _numpy_dispatched_targets() -> str:
+    """The CPU targets this numpy dispatches to at run time, comma-separated."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return ",".join(__cpu_dispatch__)
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": _numpy_dispatched_targets()},
+], ids=["openblas-prescott", "numpy-baseline-only"])
+def test_su2_class_hash_machine_independent(tmp_path, env):
+    """The su(2) class pins hold on OpenBLAS's oldest x86 kernels and with
+    numpy's SIMD dispatch off: the SU(2) products are float arithmetic in a
+    fixed order, not zgemm or numpy's fused complex multiply.  Each run is a
+    child process, since both variables are read at import; where one does not
+    apply (another BLAS or CPU), it is ignored."""
+    env = {**os.environ, **env, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    for n, (scene, want) in enumerate(_SU2_CLASS_PINS):
+        cfg, rep = tmp_path / f"scene{n}.cfg", tmp_path / f"r{n}.json"
+        cfg.write_text(scene)
+        out = subprocess.run([sys.executable, "-m", "caloron.cli", "classes", "--config",
+                              str(cfg), "--report", str(rep)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == EXIT_OK, out.stderr
+        assert json.loads(rep.read_text())["report_hash"] == want, env
+
+
 @pytest.mark.parametrize("graph,group,want", [
     ("torus:16:32", SU2, "b36155ea8c0b01322fd132cb6abba8cc9bd74801b4dfd55bb88f8adea663d93c"),
     ("ring:64", U1, "a754a6266289df7b8297c94619ee75f70536a284e9b459fc827b6e933e3bdc8a"),
 ])
 def test_universal_report_hash_pinned(tmp_path, graph, group, want):
-    """`universal --seed 3` reports keep their bits.  The su(2) residuals come
-    from OpenBLAS matrix-vector products whose bits depend on its thread
-    count (two threads give 456ac0ac... on torus:16:32), so the command runs
-    in a child process with one BLAS thread, as the benchmark runs it."""
+    """`universal --seed 3` reports keep their bits.  The residuals come from
+    OpenBLAS matrix products whose bits depend on its thread count (two
+    threads give 456ac0ac... on torus:16:32), so the command runs in a child
+    process with one BLAS thread, as the benchmark runs it.  They also depend
+    on OpenBLAS's core type: these pins are SkylakeX's, while Haswell gives
+    5dd975d7... (torus) and c34d433b... (ring), Sandybridge ba1e495b... and
+    12f20bf5...."""
     rep = tmp_path / "u.json"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(cli.__file__).parent.parent)}

@@ -1,4 +1,6 @@
-"""The library holds only what a command, the acceptance gate or the benchmark
+"""Static checks on the library's source.
+
+The library holds only what a command, the acceptance gate or the benchmark
 reaches: every top-level function, class and non-dunder method of
 src/caloron is referenced from src/caloron (outside its own definition),
 tests/test_acceptance.py or bench/*.py.
@@ -8,6 +10,10 @@ that are dotted identifier paths (the benchmark's span targets name
 functions as strings); an import alone is no reference.  A reference from
 inside a definition that is itself unreached does not count, so a helper
 whose only callers are unreached goes too.
+
+The field-layer modules multiply no matrices with `@` or np.matmul: that is
+one BLAS call per lattice point, with bits that depend on the BLAS kernel,
+where lattice.su2_mul's fixed-order float arithmetic does not.
 """
 import ast
 import re
@@ -83,3 +89,25 @@ def unreached() -> list:
 
 def test_library_holds_only_reached_definitions():
     assert unreached() == []
+
+
+# the modules whose pointwise products go through lattice.su2_mul
+FIELD_LAYER = [ROOT / "src" / "caloron" / f"{name}.py"
+               for name in ("lattice", "transform", "chernweil")]
+
+
+def matmul_sites(path: Path) -> list:
+    """Line numbers of `@`, `@=` and calls of a `matmul` in one module."""
+    lines = []
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            lines.append(n.lineno)
+        elif isinstance(n, ast.Call):
+            f = n.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "matmul":
+                lines.append(n.lineno)
+    return lines
+
+
+def test_field_layer_applies_no_matmul():
+    assert {p.name: matmul_sites(p) for p in FIELD_LAYER} == {p.name: [] for p in FIELD_LAYER}

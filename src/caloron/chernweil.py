@@ -23,8 +23,7 @@ from .lattice import (
     _ordered_splits,
     ext_deriv,
     form_components,
-    group_mul,
-    trace2,
+    trace_mul,
     value_shape,
 )
 from .transform import ProductConnection, curvature_split
@@ -66,7 +65,9 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     With `fiber` given, only components with exactly that many fiber indices
     are computed (the bidegree part of the full result).  A split of a
     component into argument blocks is skipped when any block is missing, and a
-    component no split reaches is left out.
+    component no split reaches is left out.  Each term is trace_mul of its
+    blocks: for SU(2), the product of the first k - 1 and then the trace of
+    its product with the last, whose off-diagonal entries are never formed.
     """
     k = f.degree
     if len(args) != k:
@@ -102,8 +103,7 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
                 vals = [args[idx].comps.get(I) for idx, I in zip(order, blocks)]
                 if any(v is None for v in vals):
                     continue
-                term = group_mul(group, *vals)
-                term = (sign * weight) * (trace2(term) if group == SU2 else term)
+                term = (sign * weight) * trace_mul(group, *vals)
                 # in place: term is always a new array, and no sum is allocated
                 acc = term if acc is None else np.add(acc, term, out=acc)
         if acc is not None:

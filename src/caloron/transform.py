@@ -26,7 +26,7 @@ from .lattice import (
     LinkField,
     central_difference,
     point_array,
-    su2_mul,
+    su2_commutator,
     twist_plane,
     value_shape,
     zero_array,
@@ -190,9 +190,10 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
     (all of them by default), partitioned by bidegree; the blocks share F's
     arrays and live on `w.grid.slab(rows)`.
 
-    F_ij = d_i A_j - d_j A_i + (A_i A_j - A_j A_i): the two terms of the graded
-    bracket [A, A]_ij are equal bit for bit (IEEE subtraction is sign
-    symmetric), so half their sum is the single commutator.
+    F_ij = d_i A_j - d_j A_i + su2_commutator(A_i, A_j), which is A_i A_j -
+    A_j A_i in su2_mul's bits: the two terms of the graded bracket [A, A]_ij
+    are equal bit for bit (IEEE subtraction is sign symmetric), so half
+    their sum is the single commutator.
     """
     grid, group = w.grid, w.group
     h = grid.spacings
@@ -202,8 +203,7 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
         Fij = central_difference(A[j], i, h[i], rows)
         np.subtract(Fij, central_difference(A[i], j, h[j], rows), out=Fij)
         if group != U1:
-            Ai, Aj = A[i][rows], A[j][rows]
-            Fij += su2_mul(Ai, Aj) - su2_mul(Aj, Ai)
+            Fij += su2_commutator(A[i][rows], A[j][rows])
         F[(i, j)] = Fij
     slab = grid.slab(rows)
     F = FormField(slab, group, 2, F) + background_curvature(slab, group, w.twist)
@@ -215,8 +215,9 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
 
 
 def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
-    """Mixed curvature from the definition sum: base derivative of Phi, bracket
-    [A, Phi], fiber derivative of A, plus the twist background's mixed part.
+    """Mixed curvature from the definition sum: base derivative of Phi, minus
+    fiber derivative of A, plus su2_commutator(A, Phi) added in place, plus
+    the twist background's mixed part.
 
     It is the independent check on curvature_split's mixed block, which the
     class routines use; the two agree bit for bit.
@@ -231,8 +232,7 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
             val = central_difference(phi.component(nu), mu, h[mu])
             np.subtract(val, central_difference(a.component(mu), nu, h[nu]), out=val)
             if group != U1:
-                Am, Pn = a.component(mu), phi.component(nu)
-                val = val + (su2_mul(Am, Pn) - su2_mul(Pn, Am))
+                val += su2_commutator(a.component(mu), phi.component(nu))
             out[(mu, nu)] = val
     bg = background_curvature(grid, group, phi.twist).bidegree_part(1, 1)
     return FormField(grid, group, 2, out) + bg

@@ -112,6 +112,62 @@ def test_eval_invariant_su2_trace_oracle():
     assert out.comps[(0, 1)][site] == pytest.approx(np.trace(X[site]))
 
 
+def _old_route_trace_mul(group, *factors):
+    """A term as trace2 of group_mul's whole product, every entry formed."""
+    term = lat.group_mul(group, *factors)
+    return lat.trace2(term) if group == SU2 else term
+
+
+@pytest.mark.parametrize("degrees, same", [
+    ((2,), False), ((2, 2), False), ((2, 2), True), ((1, 2, 1), False), ((1, 1, 1), True),
+], ids=["k1", "k2", "k2-repeated", "k3", "k3-repeated"])
+def test_eval_invariant_su2_matches_trace_of_whole_product(monkeypatch, degrees, same):
+    """At k = 1, 2 and 3, eval_invariant's SU(2) terms are bit for bit the sum
+    of (sign * weight) * trace2(group_mul(...)) over orderings and splits."""
+    g = Grid(sizes=(4, 4, 4, 4), base_axes=(0, 1))
+    rng = np.random.default_rng(sum(degrees) + 10 * same)
+
+    def form(degree):
+        return FormField(g, SU2, degree, {
+            key: lat.su2_from_coords(rng.standard_normal(g.sizes + (3,)))
+            for key in lat.form_components(g.dim, degree)})
+
+    first = form(degrees[0])
+    args = [first if same else form(d) for d in degrees]
+    f = InvariantPolynomial(len(degrees))
+    got = eval_invariant(f, args)
+    monkeypatch.setattr(chernweil, "trace_mul", _old_route_trace_mul)
+    want = eval_invariant(f, args)
+    assert got.comps and set(got.comps) == set(want.comps)
+    for key, arr in want.comps.items():
+        assert got.comps[key].tobytes() == arr.tobytes(), key
+
+
+def test_eval_invariant_su2_k2_forms_no_whole_product(monkeypatch):
+    """At k = 2 every term is a trace of one product, so su2_mul (which forms
+    the off-diagonal entries too) is never called; at k = 3 it forms the
+    first two factors' product."""
+    g = Grid(sizes=(4, 4, 4, 4))
+    rng = np.random.default_rng(37)
+    F = FormField(g, SU2, 2, {k: lat.su2_from_coords(rng.standard_normal(g.sizes + (3,)))
+                              for k in lat.form_components(4, 2)})
+    G = FormField(g, SU2, 1, {k: lat.su2_from_coords(rng.standard_normal(g.sizes + (3,)))
+                              for k in lat.form_components(4, 1)})
+    calls = []
+    su2_mul = lat.su2_mul
+
+    def spy(X, Y):
+        calls.append(1)
+        return su2_mul(X, Y)
+
+    monkeypatch.setattr(lat, "su2_mul", spy)
+    assert eval_invariant(InvariantPolynomial(2), [F, F]).comps
+    assert eval_invariant(InvariantPolynomial(2), [F, G]).comps
+    assert calls == []
+    assert eval_invariant(InvariantPolynomial(3), [G, F, G]).comps
+    assert calls
+
+
 def test_eval_invariant_above_grid_dimension_is_zero():
     g = Grid(sizes=(6, 6))
     F = FormField(g, U1, 2, {(0, 1): 1j * np.ones(g.sizes)})
@@ -555,7 +611,8 @@ _SU2_TRACE_CASES = {
 @pytest.mark.parametrize("case", list(_SU2_TRACE_CASES))
 def test_su2_class_forms_match_np_trace_oracle(monkeypatch, case):
     """SU(2) class forms are bit for bit those eval_invariant gives when its
-    traces are taken by np.trace."""
+    traces are taken by np.trace of the whole product: lattice's trace of a
+    product and trace of one factor are patched, and the patch is reached."""
     make, form, route = _SU2_TRACE_CASES[case]
     w = make()
     data = {"connection": w, "pair": inverse_transform(*forward_transform(w))}[form]
@@ -567,8 +624,16 @@ def test_su2_class_forms_match_np_trace_oracle(monkeypatch, case):
         return caloron_class(data, f, 2, symbolic_path=route == "symbolic").class_form
 
     got = class_form()
-    monkeypatch.setattr(chernweil, "trace2", _np_trace)
+    calls = []
+
+    def oracle(X, Y):  # every entry of the product, then np.trace
+        calls.append(1)
+        return _np_trace(lat.su2_mul(X, Y))
+
+    monkeypatch.setattr(lat, "su2_trace_mul", oracle)
+    monkeypatch.setattr(lat, "trace2", _np_trace)
     want = class_form()
+    assert calls
     assert set(got.comps) == set(want.comps)
     for key, arr in want.comps.items():
         assert got.comps[key].tobytes() == arr.tobytes(), key

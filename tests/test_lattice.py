@@ -157,6 +157,54 @@ def test_su2_mul_matches_python_complex_oracle(seed):
     assert checked > 1000
 
 
+def _su2_trace_mul_oracle(X, Y):
+    """Per point, (0j + c00) + c11 of the oracle product on Python complex scalars."""
+    C = _su2_mul_oracle(X, Y)
+    out = np.empty(C.shape[:-2], complex)
+    for p in np.ndindex(out.shape):
+        c = C[p].tolist()
+        out[p] = (0j + c[0][0]) + c[1][1]
+    return out
+
+
+def _su2_commutator_oracle(X, Y):
+    """Per point and entry, (x y)_ij - (y x)_ij on Python complex scalars."""
+    XY, YX = _su2_mul_oracle(X, Y), _su2_mul_oracle(Y, X)
+    out = np.empty(XY.shape, complex)
+    for p in np.ndindex(out.shape):
+        out[p] = complex(XY[p]) - complex(YX[p])
+    return out
+
+
+@pytest.mark.parametrize("kernel, oracle", [
+    (lat.su2_commutator, _su2_commutator_oracle),
+    (lat.su2_trace_mul, _su2_trace_mul_oracle),
+], ids=["commutator", "trace_mul"])
+@pytest.mark.parametrize("seed", range(4))
+def test_su2_kernels_match_python_complex_oracle(seed, kernel, oracle):
+    """The commutator and the trace of a product give CPython's complex
+    arithmetic on every entry su2_mul gives it on: the same special values
+    and input layouts, both ways round, and normal draws, whose sums round;
+    a nan matches a nan."""
+    rng = np.random.default_rng(seed)
+
+    def normal():
+        z = rng.standard_normal((2, 7, 5, 2, 2))
+        return z[0] + 1j * z[1]
+
+    checked = 0
+    with np.errstate(all="ignore"):
+        for X, Y in [*_su2_mul_inputs(rng), (normal(), normal())]:
+            for x, y in ((X, Y), (Y, X)):
+                want = oracle(x, y)
+                got = kernel(x, y)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert _nan_canonical_bytes(got) == _nan_canonical_bytes(want), \
+                    (x.shape, x.strides, y.strides)
+                checked += want.size
+    assert checked > 250
+
+
 def test_central_difference_harmonic():
     # [DERIVED] analytic oracle with O(h^2) error decay
     errs = []

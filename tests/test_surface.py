@@ -13,7 +13,10 @@ whose only callers are unreached goes too.
 
 The field-layer modules multiply no matrices with `@` or np.matmul: that is
 one BLAS call per lattice point, with bits that depend on the BLAS kernel,
-where lattice.su2_mul's fixed-order float arithmetic does not.
+where lattice.su2_mul's fixed-order float arithmetic does not.  Nor do they
+form what they throw away: a commutator is lattice.su2_commutator, not the
+difference of two whole products, and a trace of a product is
+lattice.su2_trace_mul, not trace2 of a whole product.
 """
 import ast
 import re
@@ -91,9 +94,18 @@ def test_library_holds_only_reached_definitions():
     assert unreached() == []
 
 
-# the modules whose pointwise products go through lattice.su2_mul
+# the modules whose pointwise products go through lattice.su2_mul, and whose
+# commutators and traces of products go through su2_commutator and su2_trace_mul
 FIELD_LAYER = [ROOT / "src" / "caloron" / f"{name}.py"
                for name in ("lattice", "transform", "chernweil")]
+
+
+def _callee(node: ast.AST):
+    """The called name of a call node (a bare or attribute name), else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
 
 
 def matmul_sites(path: Path) -> list:
@@ -102,12 +114,39 @@ def matmul_sites(path: Path) -> list:
     for n in ast.walk(ast.parse(path.read_text())):
         if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
             lines.append(n.lineno)
-        elif isinstance(n, ast.Call):
-            f = n.func
-            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "matmul":
-                lines.append(n.lineno)
+        elif _callee(n) == "matmul":
+            lines.append(n.lineno)
     return lines
 
 
 def test_field_layer_applies_no_matmul():
     assert {p.name: matmul_sites(p) for p in FIELD_LAYER} == {p.name: [] for p in FIELD_LAYER}
+
+
+_PRODUCTS = ("su2_mul", "group_mul")
+
+
+def wasted_product_sites(path: Path) -> list:
+    """Line numbers in one module's functions of `P(a, b) - P(b, a)` and of
+    `trace2(x)`, where P is su2_mul or group_mul and x is a P call or a name
+    that the function assigns a P call to."""
+    lines = []
+    tree = ast.parse(path.read_text())
+    for scope in (n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)):
+        products = {t.id for n in ast.walk(scope) if isinstance(n, ast.Assign)
+                    and _callee(n.value) in _PRODUCTS
+                    for t in n.targets if isinstance(t, ast.Name)}
+        for n in ast.walk(scope):
+            if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                    and _callee(n.left) in _PRODUCTS and _callee(n.right) in _PRODUCTS):
+                lines.append(n.lineno)
+            elif _callee(n) == "trace2" and n.args:
+                arg = n.args[0]
+                if _callee(arg) in _PRODUCTS or getattr(arg, "id", None) in products:
+                    lines.append(n.lineno)
+    return sorted(set(lines))
+
+
+def test_field_layer_forms_no_discarded_entries():
+    assert ({p.name: wasted_product_sites(p) for p in FIELD_LAYER}
+            == {p.name: [] for p in FIELD_LAYER})

@@ -64,8 +64,12 @@ class Grid:
             raise ConfigError("lengths/sizes mismatch")
         if any(n < 4 for n in sizes):
             raise ConfigError(f"grid sizes {sizes} must all be >= 4")
-        if not all(0.0 < l < inf for l in self.lengths):
-            raise ConfigError(f"grid lengths {self.lengths} must be positive and finite")
+        # a spacing that underflows to zero or a wavenumber that overflows
+        # would make every difference or sample inf or nan
+        if not all(0.0 < l < inf and l / n > 0.0 and TWO_PI / l < inf
+                   for l, n in zip(self.lengths, sizes)):
+            raise ConfigError(f"grid lengths {self.lengths} must be positive and finite, "
+                              "with a nonzero spacing L/n and a finite wavenumber 2*pi/L")
         if self.base_axes != tuple(range(len(self.base_axes))):
             raise ConfigError("base axes must be the leading axes")
 
@@ -209,6 +213,17 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> tuple:
     return re, im
 
 
+def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """A kernel's result array: `out` if it has `shape` and `dtype`, a new
+    array if it is None; any other `out` is refused, not broadcast or cast into."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if (out.shape, out.dtype) != (shape, np.dtype(dtype)):
+        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
+                         f"expected {shape} and {np.dtype(dtype)}")
+    return out
+
+
 def su2_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pointwise 2x2 product over broadcast stacks, in fixed-order real arithmetic.
 
@@ -226,16 +241,19 @@ def su2_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def su2_commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def su2_commutator(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """X Y - Y X over broadcast stacks: su2_mul(X, Y) - su2_mul(Y, X) bit
     for bit, from 12 entry products instead of 16.
 
     Since _cmul(y, x) has the bits of _cmul(x, y), the diagonal needs only
     d0 = X00 Y00, q = X01 Y10, r = X10 Y01 and d1 = X11 Y11:
     (X Y)_00 = d0 + q, (Y X)_00 = d0 + r, (X Y)_11 = r + d1 and
-    (Y X)_11 = q + d1.  Each off-diagonal entry takes its own four.
+    (Y X)_11 = q + d1.  Each off-diagonal entry takes its own four.  The
+    result goes into `out`, as for a numpy ufunc, or else into a new array;
+    `out` must be a complex array of the broadcast shape that overlaps
+    neither input.
     """
-    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=complex)
+    out = _out_array(out, np.broadcast_shapes(X.shape, Y.shape), complex)
 
     def entry(i, j, xy, yx):  # out_ij = (xy0 + xy1) - (yx0 + yx1), per part
         c = out[..., i, j]
@@ -390,15 +408,17 @@ def _check_compatible(a: FormField, b: FormField) -> None:
 
 
 def central_difference(arr: np.ndarray, axis: int, spacing: float,
-                       rows: slice = slice(None)) -> np.ndarray:
+                       rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
     """Periodic central difference (arr[i+1] - arr[i-1]) / (2 spacing) along
     `axis`, on the points `rows` (a slice of step 1) of axis 0.
 
     Along axis 0 it reads the rows either side of `rows`, wrapping
-    periodically.  The result is the one array it allocates: the interior
-    is a subtraction of shifted slices into it, the two wrap-around points
-    are subtracted on their own, and the whole is then divided in place.
-    Those are the subtraction and the complex-by-float division of
+    periodically.  The result goes into `out`, as for a numpy ufunc, or else
+    into one new array; `out` must have the result's shape and dtype and
+    must not overlap `arr`.  The interior is a subtraction of shifted slices
+    into the result, the two wrap-around points are subtracted on their own,
+    and the whole is then divided in place.  Those are the subtraction and
+    the complex-by-float division of
     (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * spacing), so
     the bits are the same, signed zeros included.
     """
@@ -414,8 +434,8 @@ def central_difference(arr: np.ndarray, axis: int, spacing: float,
     def at(i, j):
         return (slice(None),) * axis + (slice(i, j),)
 
-    out = np.empty(arr.shape[:axis] + (stop - start,) + arr.shape[axis + 1:],
-                   dtype=np.result_type(arr, 2.0 * spacing))
+    out = _out_array(out, arr.shape[:axis] + (stop - start,) + arr.shape[axis + 1:],
+                     np.result_type(arr, 2.0 * spacing))
     lo, hi = max(start, 1), min(stop, n - 1)
     if lo < hi:
         np.subtract(arr[at(lo + 1, hi + 1)], arr[at(lo - 1, hi - 1)],

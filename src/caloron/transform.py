@@ -10,9 +10,10 @@ differenced.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -38,7 +39,8 @@ MAX_CONNECTION_BYTES = 2 ** 30
 
 def check_connection(grid: Grid, group: str, twist: int) -> None:
     """Raise unless `grid` is a product grid, `group` is in GROUPS, the arrays
-    take at most MAX_CONNECTION_BYTES and a nonzero twist has a twist_plane.
+    take at most MAX_CONNECTION_BYTES and a nonzero twist passes
+    twist_background.
     Every route to a connection or link field calls it before sampling or writing."""
     if not grid.base_axes or not grid.fiber_axes:
         raise ConfigError("product grid needs at least one base and one fiber axis")
@@ -50,7 +52,7 @@ def check_connection(grid: Grid, group: str, twist: int) -> None:
                              f"{grid.sizes} exceeds the limit of "
                              f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
     if twist:
-        twist_plane(grid, group)
+        twist_background(grid, group, twist)
 
 
 @dataclass
@@ -170,6 +172,22 @@ def link_inverse(base: dict, fiber: dict, grid: Grid, group: str) -> LinkField:
     return LinkField(grid, group, {**base, **fiber})
 
 
+def twist_background(grid: Grid, group: str, twist: int) -> tuple:
+    """The plane (ax, ay) of twist_plane and the constant -2*pi*i*twist/area
+    of a nonzero twist's background curvature on it; a ConfigError unless the
+    constant is finite and nonzero."""
+    ax, ay = twist_plane(grid, group)
+    area = grid.lengths[ax] * grid.lengths[ay]
+    try:
+        value = -1j * TWO_PI * twist / area
+    except (OverflowError, ZeroDivisionError):  # a twist past float range, or area 0
+        value = complex(inf)
+    if not (cmath.isfinite(value) and value):
+        raise ConfigError(f"twist {twist} on grid lengths {grid.lengths} gives a "
+                          "background curvature -2*pi*i*twist/area that is zero or not finite")
+    return (ax, ay), value
+
+
 def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
     """Constant curvature 2-form carried by the twist metadata.
 
@@ -179,10 +197,8 @@ def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
     """
     if twist == 0:
         return FormField.zero(grid, group, 2)
-    ax, ay = twist_plane(grid, group)
-    area = grid.lengths[ax] * grid.lengths[ay]
-    value = np.asarray(-1j * TWO_PI * twist / area, dtype=complex)
-    return FormField(grid, group, 2, {(ax, ay): np.broadcast_to(value, grid.sizes)})
+    plane, value = twist_background(grid, group, twist)
+    return FormField(grid, group, 2, {plane: np.broadcast_to(value, grid.sizes)})
 
 
 def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> CurvatureTriple:
@@ -194,19 +210,32 @@ def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> Curvatur
     A_j A_i in su2_mul's bits: the two terms of the graded bracket [A, A]_ij
     are equal bit for bit (IEEE subtraction is sign symmetric), so half
     their sum is the single commutator.
+
+    The call allocates one complex block of one slab-sized row per pair
+    i < j, plus one: each F_ij is written into its own row, and its
+    component array is a view of that row.  The last row is scratch: it
+    takes d_j A_i and then the commutator before each is subtracted from,
+    or added into, F_ij, so every point sees the same subtraction, division
+    and commutator as with one new array per term.
     """
     grid, group = w.grid, w.group
     h = grid.spacings
-    A = [w.component(a) for a in range(grid.dim)]
-    F = {}
-    for i, j in combinations(range(grid.dim), 2):
-        Fij = central_difference(A[j], i, h[i], rows)
-        np.subtract(Fij, central_difference(A[i], j, h[j], rows), out=Fij)
-        if group != U1:
-            Fij += su2_commutator(A[i][rows], A[j][rows])
-        F[(i, j)] = Fij
     slab = grid.slab(rows)
-    F = FormField(slab, group, 2, F) + background_curvature(slab, group, w.twist)
+    A = [w.component(a) for a in range(grid.dim)]
+    pairs = list(combinations(range(grid.dim), 2))
+    block = np.empty((len(pairs) + 1,) + slab.sizes + value_shape(group), dtype=complex)
+    scratch = block[-1]
+    F = {}
+    for (i, j), Fij in zip(pairs, block):
+        central_difference(A[j], i, h[i], rows, out=Fij)
+        Fij -= central_difference(A[i], j, h[j], rows, out=scratch)
+        if group != U1:
+            Fij += su2_commutator(A[i][rows], A[j][rows], out=scratch)
+        F[(i, j)] = Fij
+    # in place, so the twisted component stays a view of the block too
+    for key, bg in background_curvature(slab, group, w.twist).comps.items():
+        F[key] += bg
+    F = FormField(slab, group, 2, F)
     return CurvatureTriple(
         F_A=F.bidegree_part(2, 0),
         F_Phi=F.bidegree_part(0, 2),

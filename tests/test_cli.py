@@ -542,6 +542,27 @@ def test_classes_malformed_number_exit_code(tmp_path, capsys, line):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scene, lengths", [
+    ("fiber.lengths = 1e-308,1\nfamily = u1_harmonic\n", "1e-308, 1.0"),
+    ("fiber.lengths = 1e-308,1\nfamily = zero\ntwist = 1\n", "1e-308, 1.0"),
+    ("fiber.lengths = 1e-160,1e-160\nfamily = zero\ntwist = 1\n", "1e-160, 1e-160"),
+], ids=["wavenumber", "wavenumber-twist", "twist-constant"])
+def test_classes_overflowing_lengths_exit_code(tmp_path, capsys, monkeypatch, scene, lengths):
+    """Lengths whose wavenumber 2*pi/L or twist constant -2*pi*i*n/area is
+    not finite are a config error naming the lengths (exit 2), raised before
+    any sampling, not a report of NaN pairings that exits 0."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the lengths were checked")
+
+    monkeypatch.setattr(lat, "sample", no_sampling)
+    monkeypatch.setattr("caloron.scene.sample", no_sampling)
+    cfg, rep = tmp_path / "scene.cfg", tmp_path / "r.json"
+    cfg.write_text("base.sizes = 4\nfiber.sizes = 4,4\n" + scene)
+    assert main(["classes", "--config", str(cfg), "--report", str(rep)]) == EXIT_VALIDATION
+    assert f"lengths (6.283185307179586, {lengths})" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("line", ["tol.pairing = nan", "tol.pairing = inf",
                                   "tol.pairing = -inf", "tol.pairing = -1e-8",
                                   "expect.pairing = nan", "expect.pairing = inf",

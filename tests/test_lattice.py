@@ -20,9 +20,11 @@ def test_grid_validation():
         Grid(sizes=(8, 8), base_axes=(1,))
     with pytest.raises(ConfigError):
         Grid(sizes=(8,), lengths=(1.0, 2.0))
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
+    # 5e-324 / 8 underflows to a zero spacing; 2*pi / 1e-308 overflows
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 5e-324, 1e-308):
+        with pytest.raises(ConfigError, match="lengths"):
             Grid(sizes=(8, 8), lengths=(1.0, bad))
+    assert Grid(sizes=(8, 8), lengths=(1e-300, 1e300)).spacings == (1.25e-301, 1.25e299)
 
 
 def test_grid_geometry():
@@ -176,25 +178,38 @@ def _su2_commutator_oracle(X, Y):
     return out
 
 
+def _su2_commutator_into_out(X, Y):
+    """su2_commutator written through out= into a nan-filled row of a block."""
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    out = np.full((2,) + shape, np.nan, complex)[1]
+    with pytest.raises(ValueError, match="out has shape"):
+        lat.su2_commutator(X, Y, out=out[..., :1])
+    assert lat.su2_commutator(X, Y, out=out) is out
+    return out
+
+
 @pytest.mark.parametrize("kernel, oracle", [
     (lat.su2_commutator, _su2_commutator_oracle),
     (lat.su2_trace_mul, _su2_trace_mul_oracle),
-], ids=["commutator", "trace_mul"])
+    (_su2_commutator_into_out, _su2_commutator_oracle),
+], ids=["commutator", "trace_mul", "commutator-out"])
 @pytest.mark.parametrize("seed", range(4))
 def test_su2_kernels_match_python_complex_oracle(seed, kernel, oracle):
-    """The commutator and the trace of a product give CPython's complex
-    arithmetic on every entry su2_mul gives it on: the same special values
-    and input layouts, both ways round, and normal draws, whose sums round;
-    a nan matches a nan."""
+    """The commutator, also written through out=, and the trace of a product
+    give CPython's complex arithmetic on every entry su2_mul gives it on:
+    the same special values and input layouts, both ways round, normal
+    draws, whose sums round, and a read-only broadcast zero against them; a
+    nan matches a nan."""
     rng = np.random.default_rng(seed)
 
     def normal():
         z = rng.standard_normal((2, 7, 5, 2, 2))
         return z[0] + 1j * z[1]
 
+    zero = np.broadcast_to(np.zeros((), complex), (7, 5, 2, 2))
     checked = 0
     with np.errstate(all="ignore"):
-        for X, Y in [*_su2_mul_inputs(rng), (normal(), normal())]:
+        for X, Y in [*_su2_mul_inputs(rng), (normal(), normal()), (zero, normal())]:
             for x, y in ((X, Y), (Y, X)):
                 want = oracle(x, y)
                 got = kernel(x, y)
@@ -241,12 +256,15 @@ def _difference_inputs(shape, dtype, rng):
     yield np.broadcast_to(np.zeros((), dtype), shape)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dtype, into_out", [(float, False), (complex, False),
+                                             (float, True), (complex, True)],
+                         ids=["float", "complex", "float-out", "complex-out"])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-def test_central_difference_matches_roll_oracle(dim, dtype):
+def test_central_difference_matches_roll_oracle(dim, dtype, into_out):
     """Bit for bit the np.roll formula on every axis, for axis lengths 1 to 7,
     IEEE edge values, non-contiguous and broadcast inputs, and rows of axis 0
-    that wrap at either end or both."""
+    that wrap at either end or both; with into_out, written through out=
+    into a nan-filled row of a block."""
     rng = np.random.default_rng(dim)
     # each axis sees each length once across the shapes
     shapes = [tuple(_AXIS_LENGTHS[(i + j) % 5] for j in range(dim)) for i in range(5)]
@@ -260,7 +278,12 @@ def test_central_difference_matches_roll_oracle(dim, dtype):
                 for axis in range(dim):
                     want = _roll_difference(arr, axis, 0.3)
                     for rows in row_sets:
-                        got = lat.central_difference(arr, axis, 0.3, rows)
+                        if into_out:
+                            out = np.full((2,) + want[rows].shape, np.nan, want.dtype)[1]
+                            got = lat.central_difference(arr, axis, 0.3, rows, out=out)
+                            assert got is out
+                        else:
+                            got = lat.central_difference(arr, axis, 0.3, rows)
                         assert (got.dtype, got.shape) == (want.dtype, want[rows].shape)
                         assert got.tobytes() == want[rows].tobytes(), (shape, axis, rows)
                         checked += 1
@@ -270,6 +293,10 @@ def test_central_difference_matches_roll_oracle(dim, dtype):
 def test_central_difference_rows_need_step_one():
     with pytest.raises(ValueError):
         lat.central_difference(np.zeros((4, 4)), 0, 1.0, slice(0, 4, 2))
+    # an out of another shape or dtype is refused, not broadcast or cast into
+    for out in (np.empty((4, 3)), np.empty((4, 4), complex)):
+        with pytest.raises(ValueError, match="out has shape"):
+            lat.central_difference(np.zeros((4, 4)), 1, 1.0, out=out)
 
 
 def test_ext_deriv_analytic():

@@ -1,5 +1,7 @@
 """Correspondence tests: lossless round trips and the curvature decomposition."""
 import json
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -99,6 +101,20 @@ def test_twist_requires_abelian():
         ProductConnection.zero(grid, SU2, twist=1)
     with pytest.raises(ConfigError):
         HiggsFieldMap.zero(grid, SU2, twist=1)
+
+
+@pytest.mark.parametrize("twist, lengths", [
+    (10 ** 400, (1.0, 1.0, 1.0)),        # the twist is past float range
+    (1, (1.0, 1e-200, 1e-200)),          # the area underflows to zero
+    (1, (1.0, 1e-160, 1e-160)),          # the constant overflows
+    (1, (1.0, 1e200, 1e200)),            # the area overflows, the constant is zero
+], ids=["huge-twist", "area-zero", "constant-inf", "constant-zero"])
+def test_twist_background_must_be_finite_and_nonzero(twist, lengths):
+    """A connection whose background constant -2*pi*i*twist/area is not
+    finite and nonzero is refused when it is made, naming the lengths."""
+    grid = Grid(sizes=(4, 4, 4), lengths=lengths, base_axes=(0,))
+    with pytest.raises(ConfigError, match=r"lengths \(1\.0, "):
+        ProductConnection.zero(grid, U1, twist=twist)
 
 
 def test_twist_rides_on_the_higgs_field():
@@ -210,6 +226,104 @@ def test_nabla_phi_analytic_convergence():
         exact = 1j * np.cos(m) * np.cos(x)
         errs.append(np.max(np.abs(np_field.comps[(0, 1)] - exact)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+
+
+def _su2_6d_connection():
+    """A seeded SU(2) connection on the 4^6 grid of the class benchmark's
+    shape, turned by a constant gauge rotation g A g^-1.
+
+    A sampled value i a.sigma has entries i a3, a2 + i a1, -a2 + i a1 and
+    -i a3 exactly, and then the two sums of each commutator entry are
+    negatives of each other, so every grouping of them gives the same bits.
+    The rotation's rounding breaks that, as the rounding of any computed
+    connection does."""
+    grid = Grid(sizes=(4,) * 6, base_axes=(0, 1, 2, 3))
+    A = lat.sample("su2_band_limited", grid, SU2, {"max_mode": 1}, seed=1)
+    g = lat.group_exp(SU2, lat.su2_from_coords(np.array([0.3, -1.1, 0.7])))
+    g_inv = lat.group_inverse(SU2, g)
+    return ProductConnection(grid, SU2, {a: lat.su2_mul(lat.su2_mul(g, v), g_inv)
+                                         for (a,), v in A.comps.items()})
+
+
+def _u1_multi_slab_connection():
+    """A twisted U(1) connection whose rows the class routines take one slab each."""
+    grid = Grid(sizes=(4, 16, 16, 8, 16), base_axes=(0, 1, 2))
+    assert chernweil._slab_rows(grid, U1) == 1
+    A = lat.sample("u1_harmonic", grid, U1, {"max_mode": 1}, seed=7)
+    return ProductConnection.from_one_form(A, twist=-2)
+
+
+def _curvature_oracle(w) -> dict:
+    """F_ij component by component: the np.roll difference of A_j along i
+    minus that of A_i along j, plus su2_mul(A_i, A_j) - su2_mul(A_j, A_i) for
+    SU(2), plus the twist background on its plane."""
+    grid, group = w.grid, w.group
+    A = [w.component(a) for a in range(grid.dim)]
+
+    def diff(arr, axis):
+        h = grid.spacings[axis]
+        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * h)
+
+    bg = background_curvature(grid, group, w.twist).comps
+    F = {}
+    for i, j in combinations(range(grid.dim), 2):
+        Fij = diff(A[j], i) - diff(A[i], j)
+        if group == SU2:
+            Fij = Fij + (lat.su2_mul(A[i], A[j]) - lat.su2_mul(A[j], A[i]))
+        F[(i, j)] = Fij + bg[(i, j)] if (i, j) in bg else Fij
+    return F
+
+
+@pytest.mark.parametrize("make", [_su2_6d_connection, _u1_multi_slab_connection],
+                         ids=["su2-4^6", "u1-twisted-multi-slab"])
+def test_curvature_split_matches_component_oracle(make):
+    """Every block component of curvature_split, over the whole grid and on
+    every one-row slab, has the bytes of the per-component oracle."""
+    w = make()
+    want = _curvature_oracle(w)
+    n0 = w.grid.sizes[0]
+    for rows in [slice(None)] + [slice(r, r + 1) for r in range(n0)]:
+        got = {}
+        for block in vars(curvature_split(w, rows)).values():
+            got.update(block.comps)
+        assert set(got) == set(want)
+        for key, arr in got.items():
+            assert arr.tobytes() == want[key][rows].tobytes(), (rows, key)
+
+
+def test_curvature_split_allocates_one_block(monkeypatch):
+    """On the 4^6 SU(2) grid the curvature is one allocation: a row for each
+    of the 15 components plus a scratch row, every component a view of it.
+    Every difference and commutator is kept alive, so a term that took an
+    array of its own would still be traced; with the blocks held, numpy's
+    traced memory holds that block and no array of one component's 256 KiB
+    (one array per F_ij, difference and commutator made about 45)."""
+    kept = []
+
+    def keep(f):
+        def call(*args, **kwargs):
+            kept.append(f(*args, **kwargs))
+            return kept[-1]
+        return call
+
+    monkeypatch.setattr(tr, "central_difference", keep(lat.central_difference))
+    monkeypatch.setattr(tr, "su2_commutator", keep(lat.su2_commutator))
+    w = _su2_6d_connection()
+    comp_bytes = w.comps[0].nbytes
+    tracemalloc.start()
+    try:
+        triple = curvature_split(w)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 45
+    numpy_traces = snapshot.filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
+    assert sorted(t.size for t in numpy_traces if t.size >= comp_bytes) == [16 * comp_bytes]
+    comps = [arr for block in vars(triple).values() for arr in block.comps.values()]
+    assert len(comps) == 15
+    assert len({id(arr.base) for arr in comps}) == 1
+    assert comps[0].base.nbytes == 16 * comp_bytes
 
 
 def test_link_inverse_coverage_guard():

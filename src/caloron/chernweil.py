@@ -14,7 +14,7 @@ from math import pi
 import numpy as np
 
 from . import symbolic
-from .errors import ArityError, DegreeError, DomainError, ParityError, ShapeError
+from .errors import ConfigError
 from .lattice import (
     SCALAR,
     SU2,
@@ -44,9 +44,9 @@ class InvariantPolynomial:
 
     def __post_init__(self):
         if not 1 <= self.degree <= MAX_POLY_DEGREE:
-            raise DegreeError(f"polynomial degree {self.degree} outside 1..{MAX_POLY_DEGREE}")
+            raise ConfigError(f"polynomial degree {self.degree} outside 1..{MAX_POLY_DEGREE}")
         if self.kind not in KINDS:
-            raise DomainError(f"unknown polynomial kind {self.kind!r}; "
+            raise ConfigError(f"unknown polynomial kind {self.kind!r}; "
                               f"known kinds: {', '.join(KINDS)}")
 
     @property
@@ -71,12 +71,12 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     """
     k = f.degree
     if len(args) != k:
-        raise ArityError(f"expected {k} arguments, got {len(args)}")
+        raise ConfigError(f"expected {k} arguments, got {len(args)}")
     grid = args[0].grid
     group = args[0].group
     for a in args:
         if a.grid != grid or a.group != group:
-            raise ShapeError("arguments live on different grids/groups")
+            raise ConfigError("arguments live on different grids/groups")
     total_degree = sum(a.degree for a in args)
     if total_degree > grid.dim:
         return FormField.zero(grid, SCALAR, total_degree)
@@ -224,7 +224,7 @@ def pair_with_cycle(w: FormField, axes: tuple, basepoint: dict | None = None) ->
     `basepoint` (index per remaining axis, default 0)."""
     key = tuple(sorted(axes))
     if len(key) != w.degree:
-        raise DegreeError(f"cycle dimension {len(key)} != form degree {w.degree}")
+        raise ConfigError(f"cycle dimension {len(key)} != form degree {w.degree}")
     arr = w.component(key)
     basepoint = basepoint or {}
     idx = []
@@ -238,11 +238,11 @@ def class_degree(r: int, d: int) -> int:
     """k = (r + d) / 2, the degree of the invariant polynomial whose caloron
     class on a d-dimensional fiber is an r-form on the base."""
     if (r + d) % 2 != 0:
-        raise ParityError(f"class degree r={r} and fiber dimension d={d} "
+        raise ConfigError(f"class degree r={r} and fiber dimension d={d} "
                           "must have the same parity")
     k = (d + r) // 2
     if k < 1:
-        raise DegreeError(f"(r={r}, d={d}) gives polynomial degree k={k} < 1")
+        raise ConfigError(f"(r={r}, d={d}) gives polynomial degree k={k} < 1")
     return k
 
 
@@ -259,7 +259,7 @@ class CaloronClassReport:
 def _connection(data) -> ProductConnection:
     """data itself, which must be a ProductConnection."""
     if type(data) is not ProductConnection:
-        raise ShapeError(f"expected a ProductConnection, got {type(data).__name__}")
+        raise ConfigError(f"expected a ProductConnection, got {type(data).__name__}")
     return data
 
 
@@ -281,7 +281,7 @@ def caloron_class(data: ProductConnection, f: InvariantPolynomial, r: int,
     d = len(w.grid.fiber_axes)
     k = class_degree(r, d)
     if f.degree != k:
-        raise ArityError(f"polynomial degree {f.degree} != required k={k}")
+        raise ConfigError(f"polynomial degree {f.degree} != required k={k}")
 
     if symbolic_path:
         integrand = symbolic.caloron_integrand(d, k)
@@ -317,5 +317,5 @@ def string_class(data: ProductConnection, f: InvariantPolynomial, k: int,
     so this is caloron_class's symbolic path, bit for bit."""
     w = _connection(data)
     if len(w.grid.fiber_axes) != 1:
-        raise DomainError("string classes need a 1-dimensional fiber")
+        raise ConfigError("string classes need a 1-dimensional fiber")
     return caloron_class(w, f, 2 * k - 1, cycles, symbolic_path=True)

@@ -1,43 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one per CLI outcome: a
+ConfigError exits 2 and a SingularOperatorError exits 4."""
 
 
 class CaloronError(Exception):
     pass
 
 
-class SizeLimitError(CaloronError, ValueError):
-    pass
-
-
-class DegreeError(CaloronError, ValueError):
-    pass
-
-
-class ParityError(CaloronError, ValueError):
-    pass
-
-
-class NotAvailableError(CaloronError, KeyError):
-    pass
-
-
-class ShapeError(CaloronError, ValueError):
-    pass
-
-
-class ArityError(CaloronError, ValueError):
-    pass
-
-
 class ConfigError(CaloronError, ValueError):
-    pass
-
-
-class BranchCutError(CaloronError, ArithmeticError):
-    pass
-
-
-class DomainError(CaloronError, ValueError):
     pass
 
 

@@ -18,7 +18,7 @@ from math import inf, pi, prod
 
 import numpy as np
 
-from .errors import BranchCutError, ConfigError, DegreeError, ShapeError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * pi
 
@@ -175,12 +175,12 @@ def group_log(group: str, U: np.ndarray) -> np.ndarray:
     if group == U1:
         ang = np.angle(U)
         if np.any(np.abs(ang) >= MAX_ANGLE):
-            raise BranchCutError("U(1) holonomy angle within guard band of pi; refine the grid")
+            raise ConfigError("U(1) holonomy angle within guard band of pi; refine the grid")
         return 1j * ang
     tr_half = np.real(trace2(U)) / 2.0
     theta = np.arccos(np.clip(tr_half, -1.0, 1.0))
     if np.any(theta >= MAX_ANGLE):
-        raise BranchCutError("SU(2) holonomy angle within guard band of pi; refine the grid")
+        raise ConfigError("SU(2) holonomy angle within guard band of pi; refine the grid")
     # U = cos(theta) I + i sin(theta) (n . sigma); recover n sin(theta) from the
     # anti-Hermitian traceless part of U
     anti = 0.5 * (U - np.conj(np.swapaxes(U, -1, -2)))
@@ -313,11 +313,11 @@ def form_components(dim: int, degree: int) -> list:
 
 def point_array(grid: Grid, group: str, value, what: str) -> np.ndarray:
     """`value` as a complex array of one `group` value per point of `grid`;
-    a ShapeError naming `what` when its shape is any other."""
+    a ConfigError naming `what` when its shape is any other."""
     arr = np.asarray(value, dtype=complex)
     shape = grid.sizes + value_shape(group)
     if arr.shape != shape:
-        raise ShapeError(f"{what} has shape {arr.shape}, expected {shape}")
+        raise ConfigError(f"{what} has shape {arr.shape}, expected {shape}")
     return arr
 
 
@@ -344,13 +344,13 @@ class FormField:
     def __post_init__(self):
         value_shape(self.group)
         if not 0 <= self.degree:
-            raise DegreeError(f"degree {self.degree} negative")
+            raise ConfigError(f"degree {self.degree} negative")
         valid = _component_keys(self.grid.dim, self.degree)
         for key in self.comps:
             if key not in valid:
-                raise ShapeError(f"component key {key!r} is not a strictly increasing "
-                                 f"tuple of {self.degree} axes of a "
-                                 f"{self.grid.dim}-dimensional grid")
+                raise ConfigError(f"component key {key!r} is not a strictly increasing "
+                                  f"tuple of {self.degree} axes of a "
+                                  f"{self.grid.dim}-dimensional grid")
         self.comps = {key: point_array(self.grid, self.group, arr, f"component {key}")
                       for key, arr in self.comps.items()}
 
@@ -366,7 +366,7 @@ class FormField:
     def __add__(self, other: "FormField") -> "FormField":
         _check_compatible(self, other)
         if self.degree != other.degree:
-            raise DegreeError("cannot add forms of different degree")
+            raise ConfigError("cannot add forms of different degree")
         comps = dict(self.comps)
         for k, v in other.comps.items():
             comps[k] = comps[k] + v if k in comps else v
@@ -402,9 +402,9 @@ def _component_keys(dim: int, degree: int) -> frozenset:
 
 def _check_compatible(a: FormField, b: FormField) -> None:
     if a.grid != b.grid:
-        raise ShapeError("grid mismatch")
+        raise ConfigError("grid mismatch")
     if a.group != b.group:
-        raise ShapeError(f"group mismatch: {a.group} vs {b.group}")
+        raise ConfigError(f"group mismatch: {a.group} vs {b.group}")
 
 
 def central_difference(arr: np.ndarray, axis: int, spacing: float,
@@ -452,7 +452,7 @@ def ext_deriv(f: FormField) -> FormField:
     """Central-difference periodic exterior derivative; it emits only the
     components that receive a term."""
     if f.degree >= f.grid.dim:
-        raise DegreeError(f"cannot differentiate a degree-{f.degree} form on a "
+        raise ConfigError(f"cannot differentiate a degree-{f.degree} form on a "
                           f"{f.grid.dim}-dimensional grid")
     h = f.grid.spacings
     out = {}
@@ -524,7 +524,7 @@ def bracket(a: FormField, b: FormField) -> FormField:
     """Graded bracket: wedge on indices, matrix commutator on values."""
     _check_compatible(a, b)
     if a.degree + b.degree > a.grid.dim:
-        raise DegreeError("bracket degree exceeds grid dimension")
+        raise ConfigError("bracket degree exceeds grid dimension")
     if a.group == U1:
         return FormField.zero(a.grid, a.group, a.degree + b.degree)
     return wedge(a, b, mul=su2_commutator)
@@ -546,8 +546,8 @@ class LinkField:
     def __post_init__(self):
         axes = range(self.grid.dim)
         if set(self.links) != set(axes):
-            raise ShapeError(f"link axes {list(self.links)} are not the grid's axes "
-                             f"{list(axes)}")
+            raise ConfigError(f"link axes {list(self.links)} are not the grid's axes "
+                              f"{list(axes)}")
         self.links = {a: point_array(self.grid, self.group, self.links[a],
                                      f"link array for axis {a}") for a in axes}
 
@@ -669,7 +669,7 @@ def links_from_connection(A: FormField, twist: int = 0) -> LinkField:
     """Midpoint-exponential links exp(h_a A_a(s)), optionally times a U(1) twist
     background on twist_plane's axes."""
     if A.degree != 1:
-        raise DegreeError("links_from_connection needs a 1-form")
+        raise ConfigError("links_from_connection needs a 1-form")
     h = A.grid.spacings
     links = {a: group_exp(A.group, h[a] * A.component((a,))) for a in range(A.grid.dim)}
     if twist:

@@ -60,6 +60,20 @@ def _float_list(raw: str) -> tuple:
     return tuple(_number(float, x) for x in raw.split(",") if x.strip())
 
 
+def _lengths(raw: dict, side: str, sizes: tuple) -> tuple:
+    """`side`.lengths, one per axis of `side`.sizes (2*pi each if unset): the
+    grid sees base and fiber lengths as one list, so a count off on one side
+    would silently move a length to the other."""
+    key = f"{side}.lengths"
+    if key not in raw:
+        return (DEFAULT_LENGTH,) * len(sizes)
+    lengths = _float_list(raw[key])
+    if len(lengths) != len(sizes):
+        raise ConfigError(f"{key} lists {len(lengths)} lengths for the {len(sizes)} "
+                          f"axes of {side}.sizes")
+    return lengths
+
+
 class SceneConfig:
     """Validated scene: grids, group, sample family, twist, polynomial, classes."""
 
@@ -73,12 +87,9 @@ class SceneConfig:
         fiber_sizes = _int_list(raw.get("fiber.sizes", "16"))
         if not base_sizes or not fiber_sizes:
             raise ConfigError("base.sizes and fiber.sizes must be non-empty")
-        base_len = _float_list(raw["base.lengths"]) if "base.lengths" in raw \
-            else (DEFAULT_LENGTH,) * len(base_sizes)
-        fiber_len = _float_list(raw["fiber.lengths"]) if "fiber.lengths" in raw \
-            else (DEFAULT_LENGTH,) * len(fiber_sizes)
         self.grid = Grid(sizes=base_sizes + fiber_sizes,
-                         lengths=base_len + fiber_len,
+                         lengths=(_lengths(raw, "base", base_sizes)
+                                  + _lengths(raw, "fiber", fiber_sizes)),
                          base_axes=tuple(range(len(base_sizes))))
         self.group = raw.get("group", U1)
         self.twist = _number(int, raw.get("twist", 0))
@@ -101,6 +112,9 @@ class SceneConfig:
             if not 0 <= r <= len(base_sizes):
                 raise ConfigError(f"classes: degree r={r} outside 0..{len(base_sizes)}, "
                                   "the number of base axes")
+            # a repeat would compute the class twice under the same check names
+            if self.classes.count(r) > 1:
+                raise ConfigError(f"classes: degree r={r} given twice")
             class_degree(r, len(fiber_sizes))
         # a NaN, infinite or negative bound would fail or pass every pairing
         self.tol_pairing = _number(float, raw.get("tol.pairing", 1e-8))

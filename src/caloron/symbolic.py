@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import DegreeError, NotAvailableError, ParityError, SizeLimitError
+from .errors import ConfigError
 
 FA = "FA"
 FPHI = "FPhi"
@@ -83,11 +83,11 @@ def caloron_integrand(d: int, k: int) -> Expression:
     those letter counts.
     """
     if k < 1:
-        raise DegreeError(f"polynomial degree k={k} must be positive")
+        raise ConfigError(f"polynomial degree k={k} must be positive")
     if d < 0 or d > 2 * k:
-        raise DegreeError(f"fiber degree d={d} outside 0..{2 * k}")
+        raise ConfigError(f"fiber degree d={d} outside 0..{2 * k}")
     if k > MAX_EXPAND_POWER:
-        raise SizeLimitError(f"power k={k} outside 1..{MAX_EXPAND_POWER}")
+        raise ConfigError(f"power k={k} outside 1..{MAX_EXPAND_POWER}")
     terms = {}
     for b in range(d // 2 + 1):
         c = d - 2 * b
@@ -101,9 +101,9 @@ def caloron_integrand(d: int, k: int) -> Expression:
 def abelian_closed_form(d: int, k: int) -> Expression:
     """Double-binomial closed form, valid when the structure group is abelian."""
     if k < 1:
-        raise DegreeError(f"polynomial degree k={k} must be positive")
+        raise ConfigError(f"polynomial degree k={k} must be positive")
     if d > 2 * k:
-        raise DegreeError(f"fiber degree d={d} exceeds 2k={2 * k}")
+        raise ConfigError(f"fiber degree d={d} exceeds 2k={2 * k}")
     terms = {}
     for i in range((d + 1) // 2, min(d, k) + 1):
         coeff = Fraction(comb(k, i) * comb(i, d - i))
@@ -115,7 +115,7 @@ def abelian_closed_form(d: int, k: int) -> Expression:
 def string_class_integrand(k: int) -> Expression:
     """k * FA^{k-1} NablaPhi, the circle-fiber specialization."""
     if k < 1:
-        raise DegreeError(f"k={k} must be positive")
+        raise ConfigError(f"k={k} must be positive")
     return Expression({word_from_powers(k - 1, 0, 1): Fraction(k)})
 
 
@@ -131,11 +131,11 @@ def low_degree_formula(r: int, d: int) -> Expression:
     constants are included.
     """
     if r not in (0, 1, 2, 3, 4):
-        raise DegreeError(f"degree r={r} outside 0..4")
+        raise ConfigError(f"degree r={r} outside 0..4")
     if d < 1:
-        raise DegreeError(f"fiber dimension d={d} must be positive")
+        raise ConfigError(f"fiber dimension d={d} must be positive")
     if (r + d) % 2 != 0:
-        raise ParityError(f"r={r} and d={d} must have the same parity")
+        raise ConfigError(f"r={r} and d={d} must have the same parity")
 
     terms: dict = {}
 
@@ -213,7 +213,7 @@ def table_cells() -> list:
 
 def table_fixture(d: int, k: int) -> Expression:
     if (d, k) not in _TABLE:
-        raise NotAvailableError(f"table cell (d={d}, k={k}) is empty")
+        raise ConfigError(f"table cell (d={d}, k={k}) is empty")
     terms = {}
     for word, coeff in _TABLE[(d, k)]:
         terms[word] = terms.get(word, Fraction(0)) + Fraction(coeff)

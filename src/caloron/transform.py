@@ -17,7 +17,7 @@ from math import inf, prod
 
 import numpy as np
 
-from .errors import ConfigError, DegreeError, ShapeError, SizeLimitError
+from .errors import ConfigError
 from .lattice import (
     GROUPS,
     TWO_PI,
@@ -48,9 +48,9 @@ def check_connection(grid: Grid, group: str, twist: int) -> None:
         raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(GROUPS))
     nbytes = 16 * grid.dim * prod(grid.sizes + value_shape(group))
     if nbytes > MAX_CONNECTION_BYTES:
-        raise SizeLimitError(f"connection of {nbytes / 2**20:.0f} MiB on grid "
-                             f"{grid.sizes} exceeds the limit of "
-                             f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
+        raise ConfigError(f"connection of {nbytes / 2**20:.0f} MiB on grid "
+                          f"{grid.sizes} exceeds the limit of "
+                          f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
     if twist:
         twist_background(grid, group, twist)
 
@@ -79,8 +79,8 @@ class ProductConnection:
         axes = self._axes()
         stray = [a for a in self.comps if a not in axes]
         if stray:
-            raise ShapeError(f"component keys {stray} name no axis of this block; "
-                             f"its axes are {list(axes)}")
+            raise ConfigError(f"component keys {stray} name no axis of this block; "
+                              f"its axes are {list(axes)}")
         self.comps = {a: point_array(self.grid, self.group, arr, f"component {a}")
                       for a, arr in self.comps.items()}
         # the twist plane ends on the last axis, always a fiber axis
@@ -94,7 +94,7 @@ class ProductConnection:
     @classmethod
     def from_one_form(cls, A: FormField, twist: int = 0) -> "ProductConnection":
         if A.degree != 1:
-            raise DegreeError("ProductConnection needs a 1-form")
+            raise ConfigError("ProductConnection needs a 1-form")
         return cls(A.grid, A.group, {k[0]: v for k, v in A.comps.items()}, twist)
 
     def component(self, axis: int) -> np.ndarray:
@@ -151,9 +151,9 @@ def forward_transform(w: ProductConnection) -> tuple:
 def inverse_transform(a: GaugeGroupConnection, phi: HiggsFieldMap) -> ProductConnection:
     """Reassemble the product connection from its (A, Phi) blocks."""
     if a.grid != phi.grid:
-        raise ShapeError("base/fiber grids of the pair do not match")
+        raise ConfigError("base/fiber grids of the pair do not match")
     if a.group != phi.group:
-        raise ShapeError("group mismatch in the pair")
+        raise ConfigError("group mismatch in the pair")
     return ProductConnection(a.grid, a.group, {**a.comps, **phi.comps}, twist=phi.twist)
 
 
@@ -252,7 +252,7 @@ def nabla_phi(a: GaugeGroupConnection, phi: HiggsFieldMap) -> FormField:
     class routines use; the two agree bit for bit.
     """
     if a.grid != phi.grid or a.group != phi.group:
-        raise ShapeError("pair grids/groups do not match")
+        raise ConfigError("pair grids/groups do not match")
     grid, group = a.grid, a.group
     h = grid.spacings
     out = {}

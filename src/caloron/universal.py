@@ -28,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, ShapeError, SingularOperatorError,
-                     SizeLimitError)
+from .errors import ConfigError, SingularOperatorError
 from .lattice import GROUPS, SU2, U1, group_exp, su2_coords, su2_from_coords
 from .scene import Check
 
@@ -181,11 +180,11 @@ def parse_graph(spec: str) -> GraphX:
 
 def _check_shape(graph: GraphX, group: str, x: np.ndarray, kind: str) -> np.ndarray:
     """x as a float array of one algebra value per vertex or per edge of
-    `graph`, as `kind` says; any other shape is a ShapeError."""
+    `graph`, as `kind` says; any other shape is a ConfigError."""
     x = np.asarray(x, dtype=float)
     want = (graph.n_vertices if kind == "vertex" else graph.n_edges, alg_dim(group))
     if x.shape != want:
-        raise ShapeError(f"{kind} field shape {x.shape}, expected {want}")
+        raise ConfigError(f"{kind} field shape {x.shape}, expected {want}")
     return x
 
 
@@ -208,7 +207,7 @@ def green_blocks(graph: GraphX, group: str) -> list:
 
     A block is a run of consecutive breadth-first levels, merged until it holds
     at least _MIN_BLOCK unknowns (the last block may hold fewer), with its
-    vertices in index order.  Raises SizeLimitError, before any block is
+    vertices in index order.  Raises ConfigError, before any block is
     allocated, when the factor over these blocks would take more than
     MAX_FACTOR_BYTES.
     """
@@ -227,8 +226,8 @@ def green_blocks(graph: GraphX, group: str) -> list:
     nbytes = 8 * (sum(b * b for b in sizes) + sum(b * c for b, c in zip(sizes, sizes[1:]))
                   + 4 * max(sizes, default=0) ** 2)
     if nbytes > MAX_FACTOR_BYTES:
-        raise SizeLimitError(f"Green factor of {nbytes / 2**20:.0f} MiB exceeds the limit "
-                             f"of {MAX_FACTOR_BYTES / 2**20:.0f} MiB")
+        raise ConfigError(f"Green factor of {nbytes / 2**20:.0f} MiB exceeds the limit "
+                          f"of {MAX_FACTOR_BYTES / 2**20:.0f} MiB")
     return blocks
 
 
@@ -386,7 +385,7 @@ _HORIZONTAL_TOLERANCE = 1e-8
 def _require_horizontal(gop: GreenOperator, xi: np.ndarray) -> None:
     res = np.max(np.abs(adjoint_cov_deriv(gop.graph, gop.group, gop.omega, xi)))
     if res > _HORIZONTAL_TOLERANCE:
-        raise DomainError(f"edge field is not horizontal: |d* xi| = {res:.3e} > "
+        raise ConfigError(f"edge field is not horizontal: |d* xi| = {res:.3e} > "
                           f"{_HORIZONTAL_TOLERANCE}")
 
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from caloron import chernweil, cli, lattice as lat, serialize, universal
 from caloron.cli import (EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, cmd_transform,
                          main, run)
-from caloron.errors import ConfigError, ParityError, SingularOperatorError, SizeLimitError
+from caloron.errors import ConfigError, SingularOperatorError
 from caloron.lattice import SU2, U1, Grid
 from caloron.scene import SCENE_KEYS, SceneConfig, parse_config_text, report_hash
 from caloron.transform import (MAX_CONNECTION_BYTES, ProductConnection, check_connection,
@@ -204,10 +204,13 @@ def test_formats_scene_block_matches_code():
     "base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\nclasses = 3\n",
     "base.sizes = 4,4\nfiber.sizes = 8,8\nfamily = u1_harmonic\nclasses = 0,4\n",
     "base.sizes = 4\nfiber.sizes = 8\nfamily = u1_harmonic\nclasses = -1\n",
-], ids=["empty", "above-one-base-axis", "above-two-base-axes", "negative"])
+    "base.sizes = 4\nfiber.sizes = 8,8\nfamily = zero\ntwist = 1\nclasses = 0,0\n"
+    "expect.pairing = 1\n",
+], ids=["empty", "above-one-base-axis", "above-two-base-axes", "negative", "repeated"])
 def test_classes_out_of_range_exit_code(tmp_path, capsys, monkeypatch, scene):
-    """An empty classes list would check nothing and pass, and a degree above
-    the base dimension would be found only after sampling: each exits 2,
+    """An empty classes list would check nothing and pass, a degree above
+    the base dimension would be found only after sampling, and a repeated
+    degree would be computed twice under the same check names: each exits 2,
     naming classes, before anything is sampled."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the scene was validated")
@@ -234,7 +237,7 @@ def test_scene_config_defaults_and_validation():
     assert sc.grid.sizes == (4, 8, 8)
     assert sc.grid.base_axes == (0,)
     assert sc.group == U1 and sc.classes == (0,)
-    with pytest.raises(ParityError, match="must have the same parity"):
+    with pytest.raises(ConfigError, match="must have the same parity"):
         SceneConfig({"base.sizes": "4", "fiber.sizes": "8,8", "classes": "1"})
     with pytest.raises(ConfigError):
         SceneConfig({"group": "e8"})
@@ -257,6 +260,15 @@ def test_report_hash_ignores_timings():
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def _report(path: Path) -> dict:
+    """A report read as strict JSON: json.dumps writes a non-finite float as
+    NaN or Infinity, which is not JSON, so reading one raises."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_expand_stdout(capsys):
@@ -501,13 +513,26 @@ def test_classes_twist_scene(tmp_path, capsys):
                    "expect.pairing = 1\n")
     rep = tmp_path / "report.json"
     assert main(["classes", "--config", str(cfg), "--report", str(rep)]) == EXIT_OK
-    doc = json.loads(rep.read_text())
+    doc = _report(rep)
     assert doc["report_hash"] == report_hash(doc)
     val = doc["pairings"][0]["value"]
     assert val[0] == pytest.approx(1.0, abs=1e-8)
     # closedness is reported, not judged: no pass flag without a tolerance
     (closed,) = [c for c in doc["checks"] if c["name"] == "closedness_r0"]
     assert closed["informational"] is True and "pass" not in closed
+    capsys.readouterr()
+
+
+def test_classes_refine_closed_scene_report_is_json(tmp_path, capsys):
+    """On a scene closed at both resolutions the refinement ratio is undefined:
+    the check leaves the residual out, instead of writing Infinity, and passes
+    on the coarse residual alone."""
+    cfg, rep = tmp_path / "scene.cfg", tmp_path / "report.json"
+    cfg.write_text("base.sizes = 4\nfiber.sizes = 8,8\nfamily = zero\ntwist = 1\n"
+                   "classes = 0\n")
+    assert main(["classes", "--config", str(cfg), "--refine", "--report", str(rep)]) == EXIT_OK
+    (ratio,) = [c for c in _report(rep)["checks"] if c["name"] == "closedness_ratio_r0"]
+    assert ratio == {"name": "closedness_ratio_r0", "pass": True}
     capsys.readouterr()
 
 
@@ -534,8 +559,13 @@ def test_classes_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["base.sizes = a", "fiber.lengths = 6.28,x", "seed = -1",
                                   "fiber.lengths = nan,6.28", "base.lengths = inf",
                                   f"twist = {2 ** 53 + 1}",
-                                  pytest.param("twist = 1" + "0" * 400, id="twist = 10**400")])
+                                  pytest.param("twist = 1" + "0" * 400, id="twist = 10**400"),
+                                  pytest.param("base.sizes = 4,4\nbase.lengths = 1\n"
+                                               "fiber.lengths = 2,3,4", id="lengths-count")])
 def test_classes_malformed_number_exit_code(tmp_path, capsys, line):
+    """Each line, added to a valid scene, exits 2.  In lengths-count base has
+    one length too few and fiber one too many: the grid would take the four
+    lengths in order, so the count is checked on each side."""
     cfg = tmp_path / "scene.cfg"
     cfg.write_text(f"fiber.sizes = 8,8\nclasses = 0\n{line}\n")
     assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
@@ -599,7 +629,7 @@ def test_universal_command_and_determinism(tmp_path, capsys):
                  "--seed", "5", "--report", str(r1)]) == EXIT_OK
     assert main(["universal", "--graph", "torus:4:4", "--group", "su2",
                  "--seed", "5", "--report", str(r2)]) == EXIT_OK
-    a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
+    a, b = _report(r1), _report(r2)
     assert a["report_hash"] == b["report_hash"]
     assert all(c["pass"] for c in a["checks"])
     capsys.readouterr()
@@ -714,7 +744,7 @@ def test_selftest_green_and_deterministic(tmp_path, capsys):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["selftest", "--seed", "7", "--report", str(r1)]) == EXIT_OK
     assert main(["selftest", "--seed", "7", "--report", str(r2)]) == EXIT_OK
-    a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
+    a, b = _report(r1), _report(r2)
     assert a["report_hash"] == b["report_hash"]
     assert all(c["pass"] for c in a["checks"])
     capsys.readouterr()
@@ -752,7 +782,7 @@ def test_report_hash_pinned(tmp_path, capsys, scene, want):
         cfg.write_text(scene)
         argv = ["classes", "--config", str(cfg)]
     assert main(argv + ["--report", str(rep)]) == EXIT_OK
-    assert json.loads(rep.read_text())["report_hash"] == want
+    assert _report(rep)["report_hash"] == want
     capsys.readouterr()
 
 
@@ -783,7 +813,7 @@ def test_su2_class_hash_machine_independent(tmp_path, env):
                               str(cfg), "--report", str(rep)],
                              capture_output=True, text=True, env=env, timeout=120)
         assert out.returncode == EXIT_OK, out.stderr
-        assert json.loads(rep.read_text())["report_hash"] == want, env
+        assert _report(rep)["report_hash"] == want, env
 
 
 @pytest.mark.parametrize("graph,group,want", [
@@ -805,7 +835,7 @@ def test_universal_report_hash_pinned(tmp_path, graph, group, want):
                           "--group", group, "--seed", "3", "--report", str(rep)],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == EXIT_OK, out.stderr
-    assert json.loads(rep.read_text())["report_hash"] == want
+    assert _report(rep)["report_hash"] == want
 
 
 @pytest.mark.parametrize("group,seed,want_pair,want_back", [
@@ -860,7 +890,8 @@ def test_scene_config_at_size_limit(group, fiber):
     cfg = SceneConfig({"base.sizes": "64,64", "fiber.sizes": fiber, "group": group})
     nbytes = 16 * 4 * int(np.prod(cfg.grid.sizes)) * (4 if group == SU2 else 1)
     assert nbytes == MAX_CONNECTION_BYTES
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ConfigError, match=r"MiB on grid \(65, 64, [0-9, ]+\) exceeds the "
+                                          "limit of 1024 MiB"):
         SceneConfig({"base.sizes": "65,64", "fiber.sizes": fiber, "group": group})
 
 
@@ -1092,17 +1123,17 @@ _CONNECTION_ROUTES = {
 
 
 @pytest.mark.parametrize("route", list(_CONNECTION_ROUTES))
-@pytest.mark.parametrize("sizes,group,error", [
-    ((4, 8), "x", ConfigError),
-    ((4, 10 ** 12), U1, SizeLimitError),
+@pytest.mark.parametrize("sizes,group,match", [
+    ((4, 8), "x", "unknown group 'x'"),
+    ((4, 10 ** 12), U1, "exceeds the limit of 1024 MiB"),
 ], ids=["group", "size"])
-def test_connection_check_same_on_every_route(route, sizes, group, error):
+def test_connection_check_same_on_every_route(route, sizes, group, match):
     """Each route raises transform.check_connection's own error, message and
     all, so no route keeps a rule of its own."""
     grid = Grid(sizes=sizes, base_axes=(0,))
-    with pytest.raises(error) as want:
+    with pytest.raises(ConfigError, match=match) as want:
         check_connection(grid, group, 0)
-    with pytest.raises(error) as got:
+    with pytest.raises(ConfigError, match=match) as got:
         _CONNECTION_ROUTES[route](grid, group)
     assert str(got.value) == str(want.value)
 

@@ -17,6 +17,10 @@ where lattice.su2_mul's fixed-order float arithmetic does not.  Nor do they
 form what they throw away: a commutator is lattice.su2_commutator, not the
 difference of two whole products, and a trace of a product is
 lattice.su2_trace_mul, not trace2 of a whole product.
+
+The error types are the CLI's outcomes: caloron.errors defines the base
+CaloronError, ConfigError (exit 2) and only the types that an except clause
+of cli.run tells apart, since no other caller tells one from another.
 """
 import ast
 import re
@@ -150,3 +154,26 @@ def wasted_product_sites(path: Path) -> list:
 def test_field_layer_forms_no_discarded_entries():
     assert ({p.name: wasted_product_sites(p) for p in FIELD_LAYER}
             == {p.name: [] for p in FIELD_LAYER})
+
+
+def _handled_names(handler: ast.ExceptHandler) -> set:
+    """The names of the exception types one except clause catches."""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
+
+
+def untold_error_types() -> list:
+    """The classes of caloron.errors other than CaloronError and ConfigError
+    that no except clause of cli.run names."""
+    lib = ROOT / "src" / "caloron"
+    defined = [n.name for n in ast.parse((lib / "errors.py").read_text()).body
+               if isinstance(n, ast.ClassDef)]
+    run = next(n for n in ast.parse((lib / "cli.py").read_text()).body
+               if isinstance(n, _FUNCTIONS) and n.name == "run")
+    told = {"CaloronError", "ConfigError"}.union(
+        *(_handled_names(h) for h in ast.walk(run) if isinstance(h, ast.ExceptHandler)))
+    return [name for name in defined if name not in told]
+
+
+def test_error_types_are_the_cli_outcomes():
+    assert untold_error_types() == []

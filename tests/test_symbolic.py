@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from caloron import symbolic as sym
-from caloron.errors import DegreeError, NotAvailableError, ParityError, SizeLimitError
+from caloron.errors import ConfigError
 from caloron.symbolic import FA, FPHI, NABLA, Expression
 
 
@@ -17,7 +17,7 @@ from caloron.symbolic import FA, FPHI, NABLA, Expression
 def expand_power(k: int) -> Expression:
     """All 3^k words of length k, coefficient 1 each."""
     if not 1 <= k <= sym.MAX_EXPAND_POWER:
-        raise SizeLimitError(f"power k={k} outside 1..{sym.MAX_EXPAND_POWER}")
+        raise ConfigError(f"power k={k} outside 1..{sym.MAX_EXPAND_POWER}")
     return Expression({w: Fraction(1) for w in product(sym.GENERATORS, repeat=k)})
 
 
@@ -49,9 +49,9 @@ def test_expand_power_k3_multiset_count():
 
 
 def test_expand_power_range_guard():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ConfigError, match=r"power k=0 outside 1\.\.12"):
         expand_power(0)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ConfigError, match=r"power k=13 outside 1\.\.12"):
         expand_power(13)
 
 
@@ -140,13 +140,13 @@ def test_caloron_integrand_multinomial_coefficients():
 
 
 def test_caloron_integrand_degree_guard():
-    with pytest.raises(DegreeError):
+    with pytest.raises(ConfigError, match=r"fiber degree d=5 outside 0\.\.4"):
         sym.caloron_integrand(5, 2)
-    with pytest.raises(DegreeError):
+    with pytest.raises(ConfigError, match=r"fiber degree d=-1 outside 0\.\.4"):
         sym.caloron_integrand(-1, 2)
-    with pytest.raises(DegreeError):
+    with pytest.raises(ConfigError, match="polynomial degree k=0 must be positive"):
         sym.caloron_integrand(0, 0)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ConfigError, match=r"power k=13 outside 1\.\.12"):
         sym.caloron_integrand(2, sym.MAX_EXPAND_POWER + 1)
     assert sym.caloron_integrand(2, sym.MAX_EXPAND_POWER) != Expression()
 
@@ -166,7 +166,7 @@ def test_low_degree_examples():
 
 
 def test_low_degree_parity_guard():
-    with pytest.raises(ParityError):
+    with pytest.raises(ConfigError, match="r=1 and d=2 must have the same parity"):
         sym.low_degree_formula(1, 2)
 
 
@@ -209,7 +209,7 @@ def test_string_class_matches_integrand():
 def test_table_fixture_cells():
     assert sym.table_fixture(3, 2).terms == {(NABLA, FPHI): 2}
     assert sym.table_fixture(2, 3).terms == {(FA, NABLA, NABLA): 3, (FA, FA, FPHI): 3}
-    with pytest.raises(NotAvailableError):
+    with pytest.raises(ConfigError, match=r"table cell \(d=3, k=1\) is empty"):
         sym.table_fixture(3, 1)
 
 

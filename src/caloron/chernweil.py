@@ -221,16 +221,21 @@ def closedness_residual(w: FormField) -> float:
 
 def pair_with_cycle(w: FormField, axes: tuple, basepoint: dict | None = None) -> complex:
     """Pair a p-form with the axis-aligned p-torus spanned by `axes` through
-    `basepoint` (index per remaining axis, default 0)."""
+    `basepoint`, a point index 0..n-1 per base axis off the cycle (default 0)."""
     key = tuple(sorted(axes))
     if len(key) != w.degree:
         raise ConfigError(f"cycle dimension {len(key)} != form degree {w.degree}")
-    arr = w.component(key)
-    basepoint = basepoint or {}
-    idx = []
-    for a in range(w.grid.dim):
-        idx.append(slice(None) if a in key else int(basepoint.get(a, 0)))
-    arr = arr[tuple(idx)]
+    off_cycle = [a for a in w.grid.base_axes if a not in key]
+    idx = [slice(None) if a in key else 0 for a in range(w.grid.dim)]
+    for a, i in (basepoint or {}).items():
+        if a not in off_cycle:
+            raise ConfigError(f"basepoint key {a!r} is not a base axis off the cycle; "
+                              f"those are {off_cycle}")
+        idx[a] = int(i)
+        if not 0 <= idx[a] < w.grid.sizes[a]:
+            raise ConfigError(f"basepoint index {i} on axis {a} outside "
+                              f"0..{w.grid.sizes[a] - 1}")
+    arr = w.component(key)[tuple(idx)]
     return complex(np.mean(arr) * w.grid.volume(key))
 
 
@@ -289,13 +294,14 @@ def caloron_class(data: ProductConnection, f: InvariantPolynomial, r: int,
         def density(triple):
             gen_map = {symbolic.FA: triple.F_A, symbolic.FPHI: triple.F_Phi,
                        symbolic.NABLA: triple.NablaPhi}
+            # caloron_integrand(d, k) always holds FA^(k-ceil(d/2)) FPhi^(d//2)
+            # NablaPhi^(d%2), so the sum has a first term
             total_form = None
             for word, coeff in integrand.terms.items():
                 val = eval_invariant(f, [gen_map[g] for g in word], fiber=d)
                 term = float(coeff) * val
                 total_form = term if total_form is None else total_form + term
-            return total_form if total_form is not None \
-                else FormField.zero(triple.F_A.grid, SCALAR, 2 * k)
+            return total_form
     else:
         def density(triple):
             return eval_invariant(f, [triple.total()] * k, fiber=d)

@@ -136,6 +136,12 @@ def value_shape(group: str) -> tuple:
     return _VALUE_SHAPE[group]
 
 
+def check_group(group: str) -> None:
+    """Raise ConfigError unless `group` is a structure group of GROUPS."""
+    if group not in GROUPS:
+        raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(GROUPS))
+
+
 def trace2(X: np.ndarray) -> np.ndarray:
     """Trace over the trailing (2, 2) axes, bit for bit np.trace's.
 
@@ -170,25 +176,12 @@ def group_exp(group: str, X: np.ndarray) -> np.ndarray:
     return c + s
 
 
-def group_log(group: str, U: np.ndarray) -> np.ndarray:
-    """Principal logarithm; raises on rotation angles of MAX_ANGLE or more."""
-    if group == U1:
-        ang = np.angle(U)
-        if np.any(np.abs(ang) >= MAX_ANGLE):
-            raise ConfigError("U(1) holonomy angle within guard band of pi; refine the grid")
-        return 1j * ang
-    tr_half = np.real(trace2(U)) / 2.0
-    theta = np.arccos(np.clip(tr_half, -1.0, 1.0))
-    if np.any(theta >= MAX_ANGLE):
-        raise ConfigError("SU(2) holonomy angle within guard band of pi; refine the grid")
-    # U = cos(theta) I + i sin(theta) (n . sigma); recover n sin(theta) from the
-    # anti-Hermitian traceless part of U
-    anti = 0.5 * (U - np.conj(np.swapaxes(U, -1, -2)))
-    n_sin = su2_coords(anti)
-    sin_theta = np.sin(theta)
-    safe = np.where(sin_theta == 0.0, 1.0, sin_theta)
-    n = n_sin / safe[..., None]
-    return su2_from_coords(theta[..., None] * n)
+def group_log(U: np.ndarray) -> np.ndarray:
+    """Principal U(1) logarithm; raises on rotation angles of MAX_ANGLE or more."""
+    ang = np.angle(U)
+    if np.any(np.abs(ang) >= MAX_ANGLE):
+        raise ConfigError("U(1) holonomy angle within guard band of pi; refine the grid")
+    return 1j * ang
 
 
 def group_inverse(group: str, U: np.ndarray) -> np.ndarray:
@@ -544,6 +537,7 @@ class LinkField:
     links: dict
 
     def __post_init__(self):
+        check_group(self.group)
         axes = range(self.grid.dim)
         if set(self.links) != set(axes):
             raise ConfigError(f"link axes {list(self.links)} are not the grid's axes "
@@ -563,10 +557,14 @@ def plaquette_holonomy(u: LinkField, ax: int, ay: int) -> np.ndarray:
 
 
 def total_flux(u: LinkField, ax: int = 0, ay: int = 1) -> complex:
-    """Sum of principal plaquette logs; 2*pi*i*(integer) on a closed surface."""
-    total = np.sum(group_log(u.group, plaquette_holonomy(u, ax, ay)),
-                   axis=tuple(range(u.grid.dim)))
-    return complex(total if u.group == U1 else trace2(total) / 2.0)
+    """Sum of principal U(1) plaquette logs; 2*pi*i*(integer) on a closed surface.
+
+    Only U(1) links carry flux: an su(2) value is traceless, so an SU(2)
+    bundle's first Chern class vanishes and its classes start in degree 2."""
+    if u.group != U1:
+        raise ConfigError(f"total flux needs U(1) links, got group {u.group!r}")
+    return complex(np.sum(group_log(plaquette_holonomy(u, ax, ay)),
+                          axis=tuple(range(u.grid.dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +666,7 @@ def twist_plane(grid: Grid, group: str) -> tuple:
 def links_from_connection(A: FormField, twist: int = 0) -> LinkField:
     """Midpoint-exponential links exp(h_a A_a(s)), optionally times a U(1) twist
     background on twist_plane's axes."""
+    check_group(A.group)
     if A.degree != 1:
         raise ConfigError("links_from_connection needs a 1-form")
     h = A.grid.spacings

@@ -44,16 +44,6 @@ class Expression:
                 cleaned[tuple(word)] = coeff
         self.terms = cleaned
 
-    def __add__(self, other: "Expression") -> "Expression":
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out.get(word, Fraction(0)) + coeff
-        return Expression(out)
-
-    def __rmul__(self, scalar) -> "Expression":
-        s = Fraction(scalar)
-        return Expression({w: s * c for w, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Expression) and self.terms == other.terms
 

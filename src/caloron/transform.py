@@ -19,13 +19,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import (
-    GROUPS,
     TWO_PI,
     U1,
     FormField,
     Grid,
     LinkField,
     central_difference,
+    check_group,
     point_array,
     su2_commutator,
     twist_plane,
@@ -40,19 +40,18 @@ MAX_CONNECTION_BYTES = 2 ** 30
 def check_connection(grid: Grid, group: str, twist: int) -> None:
     """Raise unless `grid` is a product grid, `group` is in GROUPS, the arrays
     take at most MAX_CONNECTION_BYTES and a nonzero twist passes
-    twist_background.
+    background_curvature.
     Every route to a connection or link field calls it before sampling or writing."""
     if not grid.base_axes or not grid.fiber_axes:
         raise ConfigError("product grid needs at least one base and one fiber axis")
-    if group not in GROUPS:
-        raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(GROUPS))
+    check_group(group)
     nbytes = 16 * grid.dim * prod(grid.sizes + value_shape(group))
     if nbytes > MAX_CONNECTION_BYTES:
         raise ConfigError(f"connection of {nbytes / 2**20:.0f} MiB on grid "
                           f"{grid.sizes} exceeds the limit of "
                           f"{MAX_CONNECTION_BYTES / 2**20:.0f} MiB")
     if twist:
-        twist_background(grid, group, twist)
+        background_curvature(grid, group, twist)
 
 
 @dataclass
@@ -172,10 +171,17 @@ def link_inverse(base: dict, fiber: dict, grid: Grid, group: str) -> LinkField:
     return LinkField(grid, group, {**base, **fiber})
 
 
-def twist_background(grid: Grid, group: str, twist: int) -> tuple:
-    """The plane (ax, ay) of twist_plane and the constant -2*pi*i*twist/area
-    of a nonzero twist's background curvature on it; a ConfigError unless the
-    constant is finite and nonzero."""
+def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
+    """Constant curvature 2-form carried by the twist metadata.
+
+    Lives on twist_plane's axes (both fiber when dim X = 2; mixed when
+    dim X = 1), with the constant -2*pi*i*twist/area and the sign fixed so
+    the Chern-normalized pairing is +twist.  A nonzero twist whose constant
+    is not finite and nonzero is a ConfigError.  The constant is stored
+    once, as a read-only broadcast array.
+    """
+    if twist == 0:
+        return FormField.zero(grid, group, 2)
     ax, ay = twist_plane(grid, group)
     area = grid.lengths[ax] * grid.lengths[ay]
     try:
@@ -185,20 +191,7 @@ def twist_background(grid: Grid, group: str, twist: int) -> tuple:
     if not (cmath.isfinite(value) and value):
         raise ConfigError(f"twist {twist} on grid lengths {grid.lengths} gives a "
                           "background curvature -2*pi*i*twist/area that is zero or not finite")
-    return (ax, ay), value
-
-
-def background_curvature(grid: Grid, group: str, twist: int) -> FormField:
-    """Constant curvature 2-form carried by the twist metadata.
-
-    Lives on twist_plane's axes (both fiber when dim X = 2; mixed when
-    dim X = 1), with the sign fixed so the Chern-normalized pairing is
-    +twist.  The constant is stored once, as a read-only broadcast array.
-    """
-    if twist == 0:
-        return FormField.zero(grid, group, 2)
-    plane, value = twist_background(grid, group, twist)
-    return FormField(grid, group, 2, {plane: np.broadcast_to(value, grid.sizes)})
+    return FormField(grid, group, 2, {(ax, ay): np.broadcast_to(value, grid.sizes)})
 
 
 def curvature_split(w: ProductConnection, rows: slice = slice(None)) -> CurvatureTriple:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularOperatorError
-from .lattice import GROUPS, SU2, U1, group_exp, su2_coords, su2_from_coords
+from .lattice import SU2, U1, check_group, group_exp, su2_coords, su2_from_coords
 from .scene import Check
 
 MAX_VERTICES = 2 ** 16
@@ -49,8 +49,7 @@ ALG_DIM = {U1: 1, SU2: 3}
 
 def alg_dim(group: str) -> int:
     """Real coordinates of one `group` algebra value; ConfigError for another group."""
-    if group not in ALG_DIM:
-        raise ConfigError(f"unknown group {group!r}; known groups: " + ", ".join(GROUPS))
+    check_group(group)
     return ALG_DIM[group]
 
 

@@ -224,6 +224,22 @@ def test_pair_with_cycle_basepoint():
     assert v3 == pytest.approx(3.0 * TWO_PI)
 
 
+@pytest.mark.parametrize("basepoint, match", [
+    ({0: 6}, r"index 6 on axis 0 outside 0\.\.5"),
+    ({0: 99}, r"index 99 on axis 0 outside 0\.\.5"),
+    ({0: -1}, r"index -1 on axis 0 outside 0\.\.5"),
+    ({1: 0}, r"key 1 is not a base axis off the cycle; those are \[0\]"),
+    ({2: 0}, r"key 2 is not a base axis off the cycle"),
+], ids=["past-end", "far-past-end", "negative", "key-on-cycle", "key-off-grid"])
+def test_pair_with_cycle_rejects_bad_basepoint(basepoint, match):
+    """A basepoint index off the grid is refused, not wrapped or left to
+    numpy's IndexError, and so is a key on the cycle or off the grid."""
+    g = Grid(sizes=(6, 8), base_axes=(0, 1))
+    w = FormField(g, SCALAR, 1, {(1,): np.ones(g.sizes)})
+    with pytest.raises(ConfigError, match=match):
+        pair_with_cycle(w, (1,), basepoint)
+
+
 def test_caloron_class_parity_and_arity_guards():
     g = Grid(sizes=(6, 6, 6), base_axes=(0,))
     w = ProductConnection.zero(g, U1)
@@ -658,12 +674,6 @@ def test_library_calls_no_np_trace(monkeypatch):
     F = FormField(g, SU2, 2, {k: lat.su2_from_coords(rng.standard_normal(g.sizes + (3,)))
                               for k in lat.form_components(4, 2)})
     assert eval_invariant(InvariantPolynomial(2), [F, F]).comps
-    X = F.comps[(0, 1)]
-    lat.group_log(SU2, lat.group_exp(SU2, 0.1 * X))
-    g2 = Grid(sizes=(4, 4))
-    u = lat.LinkField(g2, SU2, {a: lat.group_exp(SU2, 0.1 * X[..., 0, 0, :, :])
-                                for a in range(2)})
-    assert abs(lat.total_flux(u)) < 1e-12
 
 
 def test_ordered_splits_are_cached_tuples():

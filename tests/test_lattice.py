@@ -54,10 +54,9 @@ def test_group_exp_log_round_trip():
     U = lat.group_exp(SU2, X)
     assert np.max(np.abs(lat.group_inverse(SU2, U) @ U - np.eye(2))) < 1e-13  # unitary
     assert np.max(np.abs(np.linalg.det(U) - 1.0)) < 1e-13
-    assert np.max(np.abs(lat.group_log(SU2, U) - X)) < 1e-12
     # abelian
     z = 1j * rng.uniform(-3.0, 3.0, size=20)
-    assert np.max(np.abs(lat.group_log(U1, lat.group_exp(U1, z)) - z)) < 1e-14
+    assert np.max(np.abs(lat.group_log(lat.group_exp(U1, z)) - z)) < 1e-14
 
 
 def test_group_exp_matches_scipy_style_series():
@@ -72,7 +71,7 @@ def test_group_exp_matches_scipy_style_series():
 def test_group_log_guard_band():
     U = np.array(np.exp(1j * (np.pi - 1e-9)))
     with pytest.raises(ConfigError, match=r"U\(1\) holonomy angle within guard band of pi"):
-        lat.group_log(U1, U)
+        lat.group_log(U)
 
 
 _TRACE_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 1.0, -1.0])
@@ -414,7 +413,7 @@ def test_plaquette_constant_curvature_oracle():
     c = 2
     u = lat.constant_curvature_torus(g, c)
     h0, h1 = g.spacings
-    F = lat.group_log(U1, lat.plaquette_holonomy(u, 0, 1)) / (h0 * h1)
+    F = lat.group_log(lat.plaquette_holonomy(u, 0, 1)) / (h0 * h1)
     expect = -1j * TWO_PI * c / (TWO_PI * TWO_PI)
     assert np.max(np.abs(F - expect)) < 1e-13
 
@@ -426,6 +425,15 @@ def test_total_flux_quantized():
         assert abs(flux - (-1j * TWO_PI * c)) < 1e-12
         pairing = (1j / TWO_PI) * flux
         assert pairing.real == pytest.approx(c, abs=1e-12)
+
+
+def test_total_flux_is_u1_only():
+    """An su(2) value is traceless, so SU(2) links carry no flux to sum."""
+    g = _grid2(4)
+    u = LinkField(g, SU2, {a: np.broadcast_to(np.eye(2, dtype=complex), g.sizes + (2, 2))
+                           for a in range(2)})
+    with pytest.raises(ConfigError, match="total flux needs U\\(1\\) links"):
+        lat.total_flux(u)
 
 
 def test_flux_gauge_invariant():
@@ -510,9 +518,15 @@ def test_empty_form_rejects_unknown_group():
 
 
 def test_link_field_rejects_unknown_group():
+    """Links take a structure group only: scalar values are forms, so a
+    scalar LinkField or the links of a scalar form name the groups too."""
     g = Grid(sizes=(4, 4))
-    with pytest.raises(ConfigError, match="known groups: u1, su2, scalar"):
-        LinkField(g, "x", {a: np.ones(g.sizes, dtype=complex) for a in range(2)})
+    for group in ("x", lat.SCALAR):
+        with pytest.raises(ConfigError, match=f"unknown group '{group}'; known groups: u1, su2$"):
+            LinkField(g, group, {a: np.ones(g.sizes, dtype=complex) for a in range(2)})
+    A = FormField(g, lat.SCALAR, 1, {(0,): np.ones(g.sizes)})
+    with pytest.raises(ConfigError, match="unknown group 'scalar'; known groups: u1, su2$"):
+        lat.links_from_connection(A)
 
 
 def test_form_shape_validation():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations
 from math import pi
 
@@ -20,9 +21,9 @@ from .lattice import (
     SU2,
     FormField,
     Grid,
-    _ordered_splits,
     ext_deriv,
     form_components,
+    graded_sums,
     trace_mul,
     value_shape,
 )
@@ -63,11 +64,10 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
     the permutation sum stays exact for repeated entries at any k <= 6.  Returns
     a scalar-valued form; degrees above the grid dimension give the zero form.
     With `fiber` given, only components with exactly that many fiber indices
-    are computed (the bidegree part of the full result).  A split of a
-    component into argument blocks is skipped when any block is missing, and a
-    component no split reaches is left out.  Each term is trace_mul of its
-    blocks: for SU(2), the product of the first k - 1 and then the trace of
-    its product with the last, whose off-diagonal entries are never formed.
+    are computed (the bidegree part of the full result).  The terms are
+    summed by lattice.graded_sums, each one trace_mul of its blocks: for
+    SU(2), the product of the first k - 1 and then the trace of its product
+    with the last, whose off-diagonal entries are never formed.
     """
     k = f.degree
     if len(args) != k:
@@ -91,24 +91,12 @@ def eval_invariant(f: InvariantPolynomial, args: list, fiber: int | None = None)
             firsts.setdefault(tuple(ids[i] for i in p), p)
         orderings = list(firsts.values())
     weight = 1.0 / len(orderings)
-
-    out = {}
-    for key in form_components(grid.dim, total_degree):
-        if fiber is not None and args[0].fiber_count(key) != fiber:
-            continue
-        acc = None
-        for order in orderings:
-            degs = tuple(args[i].degree for i in order)
-            for blocks, sign in _ordered_splits(key, degs):
-                vals = [args[idx].comps.get(I) for idx, I in zip(order, blocks)]
-                if any(v is None for v in vals):
-                    continue
-                term = (sign * weight) * trace_mul(group, *vals)
-                # in place: term is always a new array, and no sum is allocated
-                acc = term if acc is None else np.add(acc, term, out=acc)
-        if acc is not None:
-            out[key] = acc * f.normalization
-    return FormField(grid, SCALAR, total_degree, out)
+    keys = [key for key in form_components(grid.dim, total_degree)
+            if fiber is None or args[0].fiber_count(key) == fiber]
+    sums = graded_sums(keys, [(weight, tuple(args[i] for i in order)) for order in orderings],
+                       partial(trace_mul, group))
+    return FormField(grid, SCALAR, total_degree,
+                     {key: acc * f.normalization for key, acc in sums.items()})
 
 
 def fiber_integrate(w: FormField) -> FormField:
@@ -120,32 +108,7 @@ def fiber_integrate(w: FormField) -> FormField:
     of base axis 0 at a time, never holding the whole product-grid form this
     takes.
     """
-    out = _zero_base_form(w.grid, w.degree)
-    _add_fiber_means(w, out.comps, slice(None))
-    return out
-
-
-def _zero_base_form(grid: Grid, degree: int) -> FormField:
-    """The zero fiber integral of a degree-`degree` form on `grid`, holding
-    every component of its degree as a writable array."""
-    base_grid = grid.base_grid()
-    out_degree = max(degree - len(grid.fiber_axes), 0)
-    return FormField(base_grid, SCALAR, out_degree,
-                     {key: np.zeros(base_grid.sizes, dtype=complex)
-                      for key in form_components(base_grid.dim, out_degree)})
-
-
-def _add_fiber_means(w: FormField, out: dict, rows: slice) -> None:
-    """Add each component of w with every fiber index, averaged over the fiber
-    and times its volume, to the points `rows` of axis 0 of out[base block]."""
-    fiber = w.grid.fiber_axes
-    d = len(fiber)
-    vol = w.grid.volume(fiber)
-    for key, arr in w.comps.items():
-        if w.fiber_count(key) != d:
-            continue
-        # base axes keep their indices (base axes lead the product grid)
-        out[key[:len(key) - d]][rows] += np.mean(arr, axis=fiber) * vol
+    return _fiber_integral(w.grid, w.degree, lambda rows: w, w.grid.sizes[0])
 
 
 # Bytes of one connection component on the rows of a slab.  At 256 KB the
@@ -174,16 +137,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fiber_integral(w: ProductConnection, density, degree: int) -> FormField:
-    """Fiber integral of the degree-`degree` scalar form density(triple),
-    where triple is the curvature of w, streamed over slabs of base axis 0.
+def _fiber_integral(grid: Grid, degree: int, form_on, step: int) -> FormField:
+    """Fiber integral of a degree-`degree` scalar form on `grid`, streamed
+    over slabs of `step` points of base axis 0: form_on(rows) is the form on
+    the points `rows` of axis 0, the other axes whole.
 
-    The fiber integral at a base point needs the curvature only there, and
-    the curvature there needs the connection only at that point and its
-    neighbours.  So each slab's curvature, density and fiber mean are made
-    and dropped in turn, and peak memory is about one slab per worker above
-    the input.  Each point sees fiber_integrate's arithmetic on the same
-    values, so the result is bit for bit that of the whole grid.
+    Each component with every fiber index, averaged over the fiber and times
+    its volume, is added to the rows of its base block; every other
+    component maps to zero, and the result holds every component of its
+    degree.  For a class, form_on builds the slab's curvature and density,
+    which need the connection only on the slab and its neighbouring rows; so
+    each slab's forms are made and dropped in turn, peak memory is about one
+    slab per worker above the input, and each point sees the arithmetic of
+    the whole grid, bit for bit.
 
     The slabs run on min(usable CPUs, slabs, _MAX_WORKERS) threads of a pool
     that lives for this call only; with one, they run inline.  numpy
@@ -192,24 +158,32 @@ def _fiber_integral(w: ProductConnection, density, degree: int) -> FormField:
     thread runs which slab, or when.  An exception in a slab cancels the
     slabs not yet started and is raised here once the running ones end.
     """
-    out = _zero_base_form(w.grid, degree)
-    n0, step = w.grid.sizes[0], _slab_rows(w.grid, w.group)
+    base_grid, fiber = grid.base_grid(), grid.fiber_axes
+    d, vol = len(fiber), grid.volume(fiber)
+    out_degree = max(degree - d, 0)
+    out = {key: np.zeros(base_grid.sizes, dtype=complex)
+           for key in form_components(base_grid.dim, out_degree)}
+    n0 = grid.sizes[0]
     slabs = [slice(s0, min(s0 + step, n0)) for s0 in range(0, n0, step)]
 
     def add_slab(rows):
-        _add_fiber_means(density(curvature_split(w, rows)), out.comps, rows)
+        w = form_on(rows)
+        for key, arr in w.comps.items():
+            # base axes keep their indices (base axes lead the product grid)
+            if w.fiber_count(key) == d:
+                out[key[:len(key) - d]][rows] += np.mean(arr, axis=fiber) * vol
 
     workers = min(_usable_cpus(), len(slabs), _MAX_WORKERS)
     if workers == 1:
         for rows in slabs:
             add_slab(rows)
-        return out
-    # imported here, so single-slab calls never load concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(add_slab, slabs):
-            pass
-    return out
+    else:
+        # imported here, so single-slab calls never load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(add_slab, slabs):
+                pass
+    return FormField(base_grid, SCALAR, out_degree, out)
 
 
 def closedness_residual(w: FormField) -> float:
@@ -306,7 +280,8 @@ def caloron_class(data: ProductConnection, f: InvariantPolynomial, r: int,
         def density(triple):
             return eval_invariant(f, [triple.total()] * k, fiber=d)
 
-    class_form = _fiber_integral(w, density, 2 * k)
+    class_form = _fiber_integral(w.grid, 2 * k, lambda rows: density(curvature_split(w, rows)),
+                                 _slab_rows(w.grid, w.group))
     residual = closedness_residual(class_form)
     pairings = []
     for name, axes, basepoint in (cycles or []):

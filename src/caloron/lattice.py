@@ -490,6 +490,29 @@ def _ordered_splits(key: tuple, degrees: tuple) -> tuple:
     return tuple(results)
 
 
+def graded_sums(keys, terms, mul) -> dict:
+    """For each component key, the sum over `terms`, a list of (coeff, forms),
+    and over the ordered splits of the key into blocks of the forms' degrees,
+    of (sign * coeff) * mul(*values), each value the form's component on its
+    block.  A split is skipped when any of its components is missing, and a
+    key no split reaches is left out.  The terms are added in place in that
+    order: term, then split."""
+    out = {}
+    for key in keys:
+        acc = None
+        for coeff, forms in terms:
+            for blocks, sign in _ordered_splits(key, tuple(f.degree for f in forms)):
+                vals = [f.comps.get(I) for f, I in zip(forms, blocks)]
+                if any(v is None for v in vals):
+                    continue
+                term = (sign * coeff) * mul(*vals)
+                # in place: term is always a new array, and no sum is allocated
+                acc = term if acc is None else np.add(acc, term, out=acc)
+        if acc is not None:
+            out[key] = acc
+    return out
+
+
 def wedge(a: FormField, b: FormField, mul=None) -> FormField:
     """Componentwise wedge with pointwise value multiplication `mul` (default:
     group_mul); terms with a missing factor are skipped."""
@@ -497,20 +520,9 @@ def wedge(a: FormField, b: FormField, mul=None) -> FormField:
     deg = a.degree + b.degree
     if deg > a.grid.dim:
         return FormField.zero(a.grid, a.group, deg)
-    if mul is None:
-        mul = partial(group_mul, a.group)
-    out = {}
-    for key in form_components(a.grid.dim, deg):
-        acc = None
-        for (I, J), sign in _ordered_splits(key, (a.degree, b.degree)):
-            x, y = a.comps.get(I), b.comps.get(J)
-            if x is None or y is None:
-                continue
-            term = sign * mul(x, y)
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[key] = acc
-    return FormField(a.grid, a.group, deg, out)
+    return FormField(a.grid, a.group, deg,
+                     graded_sums(form_components(a.grid.dim, deg), [(1, (a, b))],
+                                 mul or partial(group_mul, a.group)))
 
 
 def bracket(a: FormField, b: FormField) -> FormField:

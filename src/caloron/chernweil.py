@@ -195,8 +195,12 @@ def closedness_residual(w: FormField) -> float:
 
 def pair_with_cycle(w: FormField, axes: tuple, basepoint: dict | None = None) -> complex:
     """Pair a p-form with the axis-aligned p-torus spanned by `axes` through
-    `basepoint`, a point index 0..n-1 per base axis off the cycle (default 0)."""
+    `basepoint`, a point index 0..n-1 per base axis off the cycle (default 0).
+    `axes` must be distinct axes of the form's grid."""
     key = tuple(sorted(axes))
+    if len(set(key)) != len(key) or not all(a in range(w.grid.dim) for a in key):
+        raise ConfigError(f"cycle axes {tuple(axes)} are not distinct axes of the form's "
+                          f"{w.grid.dim}-dimensional grid")
     if len(key) != w.degree:
         raise ConfigError(f"cycle dimension {len(key)} != form degree {w.degree}")
     off_cycle = [a for a in w.grid.base_axes if a not in key]

@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import serialize, symbolic
-from .chernweil import InvariantPolynomial, caloron_class, class_degree
+from .chernweil import caloron_class
 from .errors import CaloronError, ConfigError, SingularOperatorError
 from .lattice import FAMILY_GROUP, GROUPS, U1, Grid, sample
 from .scene import Check, SceneConfig, load_config, report_hash
@@ -130,8 +130,7 @@ def _classes_for_scene(cfg: SceneConfig, grid=None) -> list:
     w = cfg.build_connection(grid)
     g = w.grid
     results = []
-    for r in cfg.classes:
-        f = InvariantPolynomial(class_degree(r, len(g.fiber_axes)), cfg.poly_kind)
+    for r, f in zip(cfg.classes, cfg.polys):
         if r == 0:
             cycles = [("point", (), {})]
         else:

@@ -10,6 +10,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import cmath
 import copy
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -584,30 +585,24 @@ def total_flux(u: LinkField, ax: int = 0, ay: int = 1) -> complex:
 
 
 def band_limited_scalar(grid: Grid, max_mode: int, rng: np.random.Generator) -> np.ndarray:
-    """Real random trigonometric polynomial with per-axis modes up to max_mode.
+    """Real random trigonometric polynomial with per-axis modes up to max_mode:
+    the sum of amp cos(k.x + phase) over the mode combinations m != 0, where
+    k_a = 2 pi m_a / L_a, and amp = standard_normal() / (1 + |m|^2) and
+    phase = uniform(0, 2 pi) are drawn per combination in combination order.
 
-    Each mode combination's cosine is evaluated only on the axes where its
-    mode is nonzero and broadcast into the output, so the cost is
-    prod(1 + 2 max_mode n_a) - 1 cosines.  Every grid point still sees the
-    same additions in the same order as a full-grid sum, and the generator
-    draws an amplitude and a phase per combination, in combination order.
+    On the grid k.x = 2 pi m.j / n, so the sum is one unnormalised inverse
+    FFT of amp e^{i phase} placed at index m mod n (m_a = +-n_a / 2 share a
+    bin, as their cosines coincide there).  Its rounding differs from a sum
+    of one cosine per combination by at most 1e-13 of the largest value.
     """
-    out = np.zeros(grid.sizes)
+    coeffs = np.zeros(grid.sizes, dtype=complex)
     modes = range(-max_mode, max_mode + 1)
-    # one broadcastable wave-number-times-coordinate term per axis and mode
-    terms = [{m: m * (TWO_PI / grid.lengths[axis]) * grid.coordinate(axis)
-              for m in modes if m} for axis in range(grid.dim)]
     for combo in product(modes, repeat=grid.dim):
-        if not any(combo):
-            continue
-        amp = rng.standard_normal() / (1 + sum(m * m for m in combo))
-        phase = rng.uniform(0.0, TWO_PI)
-        arg = None
-        for axis, m in enumerate(combo):
-            if m:
-                arg = terms[axis][m] if arg is None else arg + terms[axis][m]
-        out += amp * np.cos(arg + phase)
-    return out
+        if any(combo):
+            amp = rng.standard_normal() / (1 + sum(m * m for m in combo))
+            coeffs[tuple(m % n for m, n in zip(combo, grid.sizes))] += \
+                cmath.rect(amp, rng.uniform(0.0, TWO_PI))
+    return np.fft.ifftn(coeffs, norm="forward").real.copy()
 
 
 # the group each sample family draws its connection in
@@ -626,11 +621,18 @@ def sample(family: str, grid: Grid, group: str = U1, params: dict | None = None,
     """Deterministic random connection 1-form of a band-limited family.
 
     Families: u1_harmonic(max_mode) for group u1, su2_band_limited(max_mode)
-    for group su2 (FAMILY_GROUP); both need 0 <= max_mode <= min(grid.sizes) // 2.
+    for group su2 (FAMILY_GROUP).  `params` may hold only max_mode (default
+    2), an integer with 0 <= max_mode <= min(grid.sizes) // 2.
     """
     check_family(family, group)
+    params = params or {}
+    unknown = [key for key in params if key != "max_mode"]
+    if unknown:
+        raise ConfigError(f"unknown sample parameter {unknown[0]!r}; the only one is 'max_mode'")
+    max_mode = params.get("max_mode", 2)
+    if isinstance(max_mode, bool) or not isinstance(max_mode, (int, np.integer)):
+        raise ConfigError(f"max_mode must be an integer, got {max_mode!r}")
     rng = np.random.default_rng(seed)
-    max_mode = int((params or {}).get("max_mode", 2))
     if not 0 <= max_mode <= min(grid.sizes) // 2:
         # past the Nyquist limit of the coarsest axis the modes only alias
         raise ConfigError(f"max_mode {max_mode} outside 0..{min(grid.sizes) // 2} "

@@ -10,7 +10,7 @@ import json
 from math import isfinite
 from typing import NamedTuple
 
-from .chernweil import class_degree
+from .chernweil import InvariantPolynomial, class_degree
 from .errors import ConfigError
 from .lattice import TWO_PI, U1, Grid, check_family, sample
 from .transform import ProductConnection, check_connection
@@ -75,7 +75,8 @@ def _lengths(raw: dict, side: str, sizes: tuple) -> tuple:
 
 
 class SceneConfig:
-    """Validated scene: grids, group, sample family, twist, polynomial, classes."""
+    """Validated scene: grids, group, sample family, twist, classes and the
+    invariant polynomial of each."""
 
     def __init__(self, raw: dict):
         unknown = sorted(set(raw) - set(SCENE_KEYS))
@@ -104,10 +105,11 @@ class SceneConfig:
         self.seed = _number(int, raw.get("seed", 0))
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        self.poly_kind = raw.get("poly.kind", "chern_normalized")
+        poly_kind = raw.get("poly.kind", "chern_normalized")
         self.classes = _int_list(raw.get("classes", "0"))
         if not self.classes:
             raise ConfigError("classes must list at least one class degree")
+        polys = []
         for r in self.classes:
             if not 0 <= r <= len(base_sizes):
                 raise ConfigError(f"classes: degree r={r} outside 0..{len(base_sizes)}, "
@@ -115,7 +117,8 @@ class SceneConfig:
             # a repeat would compute the class twice under the same check names
             if self.classes.count(r) > 1:
                 raise ConfigError(f"classes: degree r={r} given twice")
-            class_degree(r, len(fiber_sizes))
+            polys.append(InvariantPolynomial(class_degree(r, len(fiber_sizes)), poly_kind))
+        self.polys = tuple(polys)
         # a NaN, infinite or negative bound would fail or pass every pairing
         self.tol_pairing = _number(float, raw.get("tol.pairing", 1e-8))
         if not (isfinite(self.tol_pairing) and self.tol_pairing >= 0.0):

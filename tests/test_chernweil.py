@@ -240,6 +240,18 @@ def test_pair_with_cycle_rejects_bad_basepoint(basepoint, match):
         pair_with_cycle(w, (1,), basepoint)
 
 
+@pytest.mark.parametrize("axes", [(1, 1), (-1, 1), (0, 2), (5,), (0, 0, 1)],
+                         ids=["repeated", "negative", "past-end", "off-grid", "repeated-3"])
+def test_pair_with_cycle_rejects_bad_axes(axes):
+    """Cycle axes that repeat or lie off the grid are refused, not paired
+    with a missing component as 0j or left to numpy's IndexError."""
+    g = Grid(sizes=(6, 8), base_axes=(0, 1))
+    w = FormField(g, SCALAR, len(axes), {})
+    with pytest.raises(ConfigError, match=r"cycle axes .* are not distinct axes of the "
+                                          r"form's 2-dimensional grid"):
+        pair_with_cycle(w, axes)
+
+
 def test_caloron_class_parity_and_arity_guards():
     g = Grid(sizes=(6, 6, 6), base_axes=(0,))
     w = ProductConnection.zero(g, U1)

@@ -223,13 +223,23 @@ def test_classes_out_of_range_exit_code(tmp_path, capsys, monkeypatch, scene):
     assert "classes" in err and "Traceback" not in err
 
 
-def test_classes_unknown_poly_kind_exit_code(tmp_path, capsys):
-    """A poly.kind outside chernweil.KINDS exits 2, naming the kinds there are."""
+def test_classes_unknown_poly_kind_exit_code(tmp_path, capsys, monkeypatch):
+    """A poly.kind outside chernweil.KINDS exits 2, naming the kinds there
+    are, before anything is sampled."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before poly.kind was validated")
+
+    monkeypatch.setattr("caloron.scene.sample", no_sampling)
+    scene = "fiber.sizes = 8,8\nfamily = u1_harmonic\nclasses = 0\npoly.kind = power\n"
+    with pytest.raises(ConfigError, match="unknown polynomial kind 'power'"):
+        SceneConfig(parse_config_text(scene))
     cfg = tmp_path / "scene.cfg"
-    cfg.write_text("fiber.sizes = 8,8\nclasses = 0\npoly.kind = power\n")
-    assert main(["classes", "--config", str(cfg)]) == EXIT_VALIDATION
+    cfg.write_text(scene)
+    assert main(["classes", "--config", str(cfg),
+                 "--report", str(tmp_path / "r.json")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "sym_trace" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_scene_config_defaults_and_validation():
@@ -750,23 +760,23 @@ def test_selftest_green_and_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-# `classes` scenes in su(2) and their report hashes
-_SU2_CLASS_PINS = [
+# sampled `classes` scenes in u(1) and su(2) and their report hashes
+_SAMPLED_CLASS_PINS = [
+    ("base.sizes = 8,8\nfiber.sizes = 16,16\ngroup = u1\nfamily = u1_harmonic\n"
+     "family.max_mode = 2\nseed = 5\ntwist = 2\nclasses = 0,2\n",
+     "9de1dee05649377d6ce43f2c0cfb2a0d694e12e6c533a1b1848d35e7cabf14f6"),
     ("base.sizes = 4,4\nfiber.sizes = 8,8\ngroup = su2\nfamily = su2_band_limited\n"
      "family.max_mode = 1\nseed = 3\nclasses = 0,2\n",
-     "82048cb50090bb1547b1303ee10539b5d44ea06ff92cc11a0cfa6560751b7532"),
+     "0899c25dacf512fd596998ac9cbd1183787fcad32786fcb2fdef7a18d53f41e7"),
     ("base.sizes = 6,6,6\nfiber.sizes = 6\ngroup = su2\nfamily = su2_band_limited\n"
      "family.max_mode = 1\nseed = 4\nclasses = 1,3\n",
-     "38314e8da3a8fb4724afbb5321eb011f25165235171fbaf3033615fee81a8f8d"),
+     "269eddc66903fb8672da9a6272c8afb339f1985975241acb8a04703215656a02"),
 ]
 
 
 @pytest.mark.parametrize("scene,want", [
     (None, "5985fdaa3d7fe79026f5ebbc2b03ca015d7be011079701750ce636ec96dbb9aa"),
-    ("base.sizes = 8,8\nfiber.sizes = 16,16\ngroup = u1\nfamily = u1_harmonic\n"
-     "family.max_mode = 2\nseed = 5\ntwist = 2\nclasses = 0,2\n",
-     "d04f2e2dc818eb02d07d4c024c0c554cd99d452ddd278630dfab456c2c61bf87"),
-    *_SU2_CLASS_PINS,
+    *_SAMPLED_CLASS_PINS,
 ])
 def test_report_hash_pinned(tmp_path, capsys, scene, want):
     """Reports of fixed runs keep their bits: `selftest --seed 7` (scene None)
@@ -800,13 +810,14 @@ def _numpy_dispatched_targets() -> str:
     {"NPY_DISABLE_CPU_FEATURES": _numpy_dispatched_targets()},
 ], ids=["openblas-prescott", "numpy-baseline-only"])
 def test_su2_class_hash_machine_independent(tmp_path, env):
-    """The su(2) class pins hold on OpenBLAS's oldest x86 kernels and with
-    numpy's SIMD dispatch off: the SU(2) products are float arithmetic in a
-    fixed order, not zgemm or numpy's fused complex multiply.  Each run is a
-    child process, since both variables are read at import; where one does not
-    apply (another BLAS or CPU), it is ignored."""
+    """The sampled class pins, u(1) and su(2), hold on OpenBLAS's oldest x86
+    kernels and with numpy's SIMD dispatch off: the SU(2) products are float
+    arithmetic in a fixed order, not zgemm or numpy's fused complex
+    multiply, and the sampler's inverse FFT takes the same bits on either
+    setting.  Each run is a child process, since both variables are read at
+    import; where one does not apply (another BLAS or CPU), it is ignored."""
     env = {**os.environ, **env, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
-    for n, (scene, want) in enumerate(_SU2_CLASS_PINS):
+    for n, (scene, want) in enumerate(_SAMPLED_CLASS_PINS):
         cfg, rep = tmp_path / f"scene{n}.cfg", tmp_path / f"r{n}.json"
         cfg.write_text(scene)
         out = subprocess.run([sys.executable, "-m", "caloron.cli", "classes", "--config",
@@ -839,10 +850,10 @@ def test_universal_report_hash_pinned(tmp_path, graph, group, want):
 
 
 @pytest.mark.parametrize("group,seed,want_pair,want_back", [
-    (U1, 11, "58913fe306b1ccacefcd5195781fd7744c56c30005aa275f0d89914be056083d",
-     "713ecbea5c6ab07bf82eee1a4bf1777ea63457b60ae773af8e315c65322ca7fb"),
-    (SU2, 12, "e39127dab942117ea42c4bb8269a1f43e572cb12bf86a09a3420f24bd24eb934",
-     "9d1fd5fad8131ce05a41faf788f1818e56016431e1d870d0fc8253b3d7c971ee"),
+    (U1, 11, "ca88c2c16099a2a5af8d4acb231e18aef5795292b28bc937b4e991bd5696bb72",
+     "ad5c8a53106386a006163a05fd2d6869293d1f3d536d5e1bb25fec4d08b31430"),
+    (SU2, 12, "dafe7b51f9241f39ecf8ca4aa430bc5beb484022c9c5d7305778d0b04475217b",
+     "f7601428169421547481df33afe5a266e371b24a8340ae95dffdeb2c2b417df1"),
 ])
 def test_transform_output_hash_pinned(tmp_path, group, seed, want_pair, want_back):
     """The files `transform --direction forward` and `inverse` write for a

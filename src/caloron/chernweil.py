@@ -106,8 +106,12 @@ def fiber_integrate(w: FormField) -> FormField:
     lose their fiber indices and keep the base block.  The result holds every
     component of its degree.  caloron_class does the same arithmetic one slab
     of base axis 0 at a time, never holding the whole product-grid form this
-    takes.
+    takes.  A grid with no base axis is a ConfigError: the slabs run along
+    base axis 0.
     """
+    if not w.grid.base_axes:
+        raise ConfigError(f"fiber integral needs at least one base axis; grid "
+                          f"{w.grid.sizes} has none")
     return _fiber_integral(w.grid, w.degree, lambda rows: w, w.grid.sizes[0])
 
 

@@ -1,19 +1,30 @@
 """JSON encoding of grids, product connections and transform pairs.
 
-Complex numbers are [re, im] pairs; SU(2) matrices are 4 complex entries
-row-major.  Documents round-trip bit-exactly through float repr, signed zeros
-and infinities in either part included, since a decoded complex array is a
-view of the float pairs; a nan comes back as Python's default nan.  A
-document whose structure or values cannot be decoded raises ConfigError.
-`save_document` writes a document's bytes as json.dumps would, one value at a
-time, so the written text is never held whole.
+Complex numbers are [re, im] float pairs; SU(2) matrices are 4 complex entries
+row-major.  An array of them is written in one of two forms, with one shape
+and C order (grid axes, then 4 for SU(2), then the pair):
+
+* listed, a nested list of JSON numbers: connection documents;
+* packed, {"dtype": "<f8", "shape": [...], "base64": "..."}: the pairs'
+  little-endian float64 bytes in RFC 4648 base64, as a .npy header names
+  them: pair documents.
+
+Either form decodes in either document, to a complex array that views the
+float pairs.  A packed array keeps every bit, NaN payloads included; a listed
+one round-trips through float repr, signed zeros and infinities included, and
+a nan comes back as Python's default nan.  A document whose structure or
+values cannot be decoded raises ConfigError.  `save_document` writes a
+document's bytes as json.dumps would, one value at a time, so the written
+text is never held whole.
 """
 from __future__ import annotations
 
+import base64
 import contextlib
 import functools
 import gc
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -23,10 +34,15 @@ from .lattice import SU2, U1, Grid
 from .transform import GaugeGroupConnection, HiggsFieldMap, ProductConnection
 
 
-def _encode_array(arr: np.ndarray, group: str):
+def _encode_array(arr: np.ndarray, group: str, packed: bool = False):
+    """arr's [re, im] float pairs, listed or packed (ARRAY_KEYS)."""
     if group != U1:
         arr = arr.reshape(arr.shape[:-2] + (4,))
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    pairs = np.ascontiguousarray(arr, dtype="<c16").view("<f8").reshape(arr.shape + (2,))
+    if not packed:
+        return pairs.tolist()
+    return {"dtype": "<f8", "shape": list(pairs.shape),
+            "base64": base64.b64encode(pairs).decode("ascii")}
 
 
 def _decoder(fn):
@@ -62,7 +78,7 @@ def _number(value, what: str):
 
 
 def _decode_array(data, group: str) -> np.ndarray:
-    raw = _number_array(data)
+    raw = _packed_array(data) if isinstance(data, dict) else _number_array(data)
     if raw.ndim < 1 or raw.shape[-1] != 2:
         raise ConfigError(f"array entries must be [re, im] pairs, got shape {raw.shape}")
     cplx = raw.view(complex)[..., 0]
@@ -91,10 +107,39 @@ def _number_array(data) -> np.ndarray:
     return np.array(entries, dtype=float).reshape(shape)
 
 
-def _axes_to_doc(block, axes) -> dict:
+def _packed_array(data: dict) -> np.ndarray:
+    """A packed array as a float64 array viewing its payload's decoded bytes.
+
+    Each field is checked before the payload is read, and the byte count
+    against the shape (by math.prod, which cannot wrap as a fixed-width
+    product can), so no malformed array reaches numpy.
+    """
+    _known_keys(data, ARRAY_KEYS, "packed array")
+    if data["dtype"] != "<f8":
+        raise ConfigError(f"packed array dtype must be '<f8', got {data['dtype']!r}")
+    if not isinstance(data["shape"], list):
+        raise ConfigError(f"packed array shape must be a list, got {data['shape']!r}")
+    shape = [_integer(n, "packed array shape entry") for n in data["shape"]]
+    if any(n < 0 for n in shape):
+        raise ConfigError(f"packed array shape {shape} has a negative entry")
+    payload = data["base64"]
+    if not isinstance(payload, str):
+        raise ConfigError("packed array payload must be a base64 string, got "
+                          + type(payload).__name__)
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character past ASCII
+        raise ConfigError(f"packed array payload is not base64: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ConfigError(f"packed array payload holds {len(raw)} bytes, where shape "
+                          f"{shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, "<f8").astype(float, copy=False).reshape(shape)
+
+
+def _axes_to_doc(block, axes, packed: bool) -> dict:
     """Every axis in `axes` of a connection or block, a missing one as zeros:
     documents list every axis."""
-    return {str(a): _encode_array(block.component(a), block.group) for a in axes}
+    return {str(a): _encode_array(block.component(a), block.group, packed) for a in axes}
 
 
 def _axes_from_doc(data: dict, group: str) -> dict:
@@ -120,6 +165,7 @@ def _axes_from_doc(data: dict, group: str) -> dict:
 GRID_KEYS = ("dim", "sizes", "lengths", "base_axes")
 CONNECTION_KEYS = ("kind", "grid", "group", "twist", "components")
 PAIR_KEYS = ("kind", "grid", "group", "twist", "A", "Phi")
+ARRAY_KEYS = ("dtype", "shape", "base64")
 
 
 def _known_keys(doc: dict, keys: tuple, what: str) -> dict:
@@ -156,7 +202,7 @@ def connection_to_doc(w: ProductConnection) -> dict:
         "grid": grid_to_doc(w.grid),
         "group": w.group,
         "twist": w.twist,
-        "components": _axes_to_doc(w, range(w.grid.dim)),
+        "components": _axes_to_doc(w, range(w.grid.dim), packed=False),
     }
 
 
@@ -174,8 +220,8 @@ def pair_to_doc(a: GaugeGroupConnection, phi: HiggsFieldMap) -> dict:
         "grid": grid_to_doc(a.grid),
         "group": a.group,
         "twist": phi.twist,
-        "A": _axes_to_doc(a, a.grid.base_axes),
-        "Phi": _axes_to_doc(phi, phi.grid.fiber_axes),
+        "A": _axes_to_doc(a, a.grid.base_axes, packed=True),
+        "Phi": _axes_to_doc(phi, phi.grid.fiber_axes, packed=True),
     }
 
 
@@ -253,10 +299,11 @@ def _write_json(fh, value) -> None:
 def collector_paused():
     """Run the body with Python's cyclic garbage collector off.
 
-    A field document is many small lists (about 123k for a 3.5 MB SU(2)
-    connection).  Building one (`tolist`, `json.load`) sets off hundreds of
-    collections, each of which walks every live document and finds nothing:
-    the documents hold no reference cycles.  Writing one sets off none.
+    A connection document is many small lists (about 123k for a 3.5 MB
+    SU(2) connection); a pair document is a few long strings.  Building the
+    lists (`tolist`, `json.load`) sets off hundreds of collections, each of
+    which walks every live document and finds nothing: the documents hold no
+    reference cycles.  Writing one sets off none.
     On exit, exceptions included, the collector is enabled again only if it
     was enabled on entry.
     """

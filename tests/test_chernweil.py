@@ -204,6 +204,15 @@ def test_fiber_integrate_drops_low_fiber_components():
     assert fiber_integrate(w).max_norm() == 0.0
 
 
+def test_fiber_integrate_needs_a_base_axis():
+    """A form on a grid with no base axis has no slabs to stream: ConfigError,
+    not numpy's IndexError."""
+    g = Grid(sizes=(4, 8))
+    w = FormField(g, SCALAR, 2, {(0, 1): np.ones(g.sizes)})
+    with pytest.raises(ConfigError, match="needs at least one base axis"):
+        fiber_integrate(w)
+
+
 def test_fiber_integrate_exact_fiber_form_vanishes():
     # the fiber derivative of a periodic function sums to zero exactly
     g = Grid(sizes=(8, 16), base_axes=(0,))
